@@ -34,7 +34,8 @@
 //! - [`job`] — job specs, outcomes, reports, rejections.
 //! - [`sched`] — the pure scheduling core (policy + pool accounting).
 //! - [`service`] — [`JobService`]: admission, the virtual-time loop,
-//!   per-job isolation, multi-lane trace export.
+//!   per-job isolation, bounded finished-job history, multi-lane trace
+//!   export.
 //! - [`datasets`] — seeded source bags for wire-submitted programs.
 //! - [`wire`] — the line protocol shared by server and client.
 //! - [`server`] — the std-only TCP server behind `matryoshka-serve`.

@@ -14,6 +14,17 @@
 //! pool). Queue waits, start times, and completion times are therefore a
 //! pure function of (scheduler config, seed, submission order + arrival
 //! times) — bit-identical across runs.
+//!
+//! ## Retention
+//!
+//! The service remembers the last [`FINISHED_JOB_HISTORY`] finished jobs
+//! (in the order they finished) and the last [`SERVICE_EVENT_HISTORY`]
+//! service-lane events, so a long-running server's memory stays bounded.
+//! An evicted job answers like an unknown one (`None` from
+//! [`JobService::status`], [`JobService::report`] and
+//! [`JobService::wait`]); the cumulative counters of
+//! [`JobService::stats`] still count it. Eviction is host-side bookkeeping
+//! only: it never changes scheduling, ids or simulated time.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -32,6 +43,16 @@ use crate::job::{
     JobId, JobOutcome, JobPayload, JobReport, JobSpec, JobStatus, NativeJob, Rejection,
 };
 use crate::sched::{Candidate, Scheduler};
+
+/// Finished jobs whose status, report and per-job trace the service keeps;
+/// older ones are forgotten. Bounded so a long-running server's memory does
+/// not grow with the number of jobs it has served (each entry carries the
+/// job's whole decision log).
+pub const FINISHED_JOB_HISTORY: usize = 256;
+
+/// Service-lane lifecycle events kept (the most recent ones): room for the
+/// queued/started/finished events of every retained job, plus rejections.
+pub const SERVICE_EVENT_HISTORY: usize = 4 * FINISHED_JOB_HISTORY;
 
 /// An admitted payload (programs are already prepared — parse and analysis
 /// happened at admission).
@@ -86,14 +107,39 @@ struct State {
     running: Vec<RunningJob>,
     free_slots: usize,
     sched: Scheduler,
+    /// Live jobs plus the retained finished ones.
     jobs: HashMap<JobId, JobEntry>,
-    /// Service-lane lifecycle events (`JobQueued`/`JobStarted`/...).
-    events: Vec<EngineEvent>,
+    /// Ids of the retained finished jobs, oldest first.
+    finished: VecDeque<JobId>,
+    /// The most recent service-lane lifecycle events
+    /// (`JobQueued`/`JobStarted`/...), oldest first.
+    events: VecDeque<EngineEvent>,
     /// Client cancel requests not yet applied.
     cancels: HashSet<JobId>,
     /// Engines of jobs whose host execution is in flight (for cooperative
     /// cancellation from other threads).
     engines: HashMap<JobId, Engine>,
+}
+
+impl State {
+    /// Append a service-lane event, dropping the oldest beyond
+    /// [`SERVICE_EVENT_HISTORY`].
+    fn record(&mut self, event: EngineEvent) {
+        if self.events.len() == SERVICE_EVENT_HISTORY {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
+    }
+
+    /// File a job that just reached `Done` in the finished-job history,
+    /// forgetting the oldest finished job beyond [`FINISHED_JOB_HISTORY`].
+    fn retire(&mut self, id: JobId) {
+        self.finished.push_back(id);
+        if self.finished.len() > FINISHED_JOB_HISTORY {
+            let oldest = self.finished.pop_front().expect("history is not empty");
+            self.jobs.remove(&oldest);
+        }
+    }
 }
 
 struct Inner {
@@ -154,7 +200,8 @@ impl JobService {
                     free_slots,
                     sched,
                     jobs: HashMap::new(),
-                    events: Vec::new(),
+                    finished: VecDeque::new(),
+                    events: VecDeque::new(),
                     cancels: HashSet::new(),
                     engines: HashMap::new(),
                 }),
@@ -181,19 +228,25 @@ impl JobService {
     /// Submit a job with an explicit virtual arrival time (clamped to the
     /// current virtual clock; the scheduler will not start it earlier).
     /// This is how benches model offered load deterministically.
+    ///
+    /// Parsing and analysis run before the service lock is taken, so a
+    /// large program never stalls other tenants; the id is still assigned
+    /// under the lock, and a rejected submission consumes one too.
     pub fn submit_at(&self, spec: JobSpec, arrival: SimTime) -> Result<JobId, Rejection> {
         let scheduler = &self.inner.config.scheduler;
+        let payload = match spec.payload {
+            JobPayload::Native(f) => Ok(Admitted::Native(f)),
+            JobPayload::Program { source, dialect } => {
+                prepare_program(&source, dialect).map(Admitted::Program)
+            }
+        };
         let mut st = self.inner.state.lock().expect("service state poisoned");
         let id = st.next_id;
         st.next_id += 1;
         let arrival = if arrival.as_nanos() > st.vt.as_nanos() { arrival } else { st.vt };
 
         let reject = |st: &mut State, reason: String, diagnostics: Vec<String>| {
-            st.events.push(EngineEvent::JobRejected {
-                job: id,
-                reason: reason.clone(),
-                at: arrival,
-            });
+            st.record(EngineEvent::JobRejected { job: id, reason: reason.clone(), at: arrival });
             self.inner.stats.add_job_rejected();
             Err(Rejection { id, reason, diagnostics })
         };
@@ -208,24 +261,21 @@ impl JobService {
                 Vec::new(),
             );
         }
-        let payload = match spec.payload {
-            JobPayload::Native(f) => Admitted::Native(f),
-            JobPayload::Program { source, dialect } => match prepare_program(&source, dialect) {
-                Ok(p) => Admitted::Program(p),
-                Err(e) => {
-                    let diags = e
-                        .diagnostics()
-                        .map(|d| d.iter().map(|x| x.to_string()).collect())
-                        .unwrap_or_default();
-                    return reject(&mut st, e.to_string(), diags);
-                }
-            },
+        let payload = match payload {
+            Ok(p) => p,
+            Err(e) => {
+                let diags = e
+                    .diagnostics()
+                    .map(|d| d.iter().map(|x| x.to_string()).collect())
+                    .unwrap_or_default();
+                return reject(&mut st, e.to_string(), diags);
+            }
         };
 
         let slots = if spec.slots == 0 { scheduler.default_slots } else { spec.slots }
             .clamp(1, scheduler.total_slots);
         let deadline_vt = spec.deadline.map(|d| arrival + d);
-        st.events.push(EngineEvent::JobQueued {
+        st.record(EngineEvent::JobQueued {
             job: id,
             name: spec.name.clone(),
             pool: spec.pool.clone(),
@@ -277,13 +327,14 @@ impl JobService {
         }
     }
 
-    /// Current lifecycle state of a job (`None` for unknown/rejected ids).
+    /// Current lifecycle state of a job (`None` for unknown, rejected and
+    /// evicted ids).
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         let st = self.inner.state.lock().expect("service state poisoned");
         st.jobs.get(&id).map(|e| e.status.clone())
     }
 
-    /// Final report of a finished job.
+    /// Final report of a retained finished job (`None` once evicted).
     pub fn report(&self, id: JobId) -> Option<JobReport> {
         let st = self.inner.state.lock().expect("service state poisoned");
         st.jobs.get(&id).and_then(|e| e.report.clone())
@@ -291,7 +342,7 @@ impl JobService {
 
     /// Block until `id` finishes (requires a driver: either another thread
     /// inside [`JobService::run_until_idle`], or call it afterwards).
-    /// Returns `None` for unknown ids.
+    /// Returns `None` for unknown, rejected and evicted ids.
     pub fn wait(&self, id: JobId) -> Option<JobOutcome> {
         let mut st = self.inner.state.lock().expect("service state poisoned");
         loop {
@@ -327,10 +378,10 @@ impl JobService {
         self.inner.stats.snapshot()
     }
 
-    /// The service-lane lifecycle events, in record order.
+    /// The retained service-lane lifecycle events, in record order.
     pub fn events(&self) -> Vec<EngineEvent> {
         let st = self.inner.state.lock().expect("service state poisoned");
-        st.events.clone()
+        st.events.iter().cloned().collect()
     }
 
     /// Current virtual time (advances only while a driver runs the loop).
@@ -342,8 +393,8 @@ impl JobService {
     /// engine's exporter; per-job engine traces are in each job's lane of
     /// [`JobService::export_chrome_trace`]).
     pub fn export_json(&self) -> String {
-        let st = self.inner.state.lock().expect("service state poisoned");
-        export_json(&st.events, &[])
+        let mut st = self.inner.state.lock().expect("service state poisoned");
+        export_json(st.events.make_contiguous(), &[])
     }
 
     /// Chrome-trace export with one Perfetto `pid` lane per job.
@@ -351,9 +402,11 @@ impl JobService {
     /// Lane `pid 1` is the service (lifecycle events); each job gets
     /// `pid 2 + id` carrying its own engine's events and decisions shifted
     /// onto the service timeline by its virtual start time, so concurrent
-    /// jobs render as overlapping tracks.
+    /// jobs render as overlapping tracks. Only retained jobs get a lane.
     pub fn export_chrome_trace(&self) -> String {
-        let st = self.inner.state.lock().expect("service state poisoned");
+        let mut guard = self.inner.state.lock().expect("service state poisoned");
+        guard.events.make_contiguous();
+        let st = &*guard;
         let mut owned: Vec<(u32, String, Vec<EngineEvent>, Vec<Decision>)> = Vec::new();
         let mut ids: Vec<&JobId> = st.jobs.keys().collect();
         ids.sort();
@@ -372,7 +425,7 @@ impl JobService {
         let mut lanes = vec![ChromeLane {
             pid: 1,
             name: "job service".to_string(),
-            events: &st.events,
+            events: st.events.as_slices().0,
             decisions: &[],
         }];
         lanes.extend(owned.iter().map(|(pid, name, events, decisions)| ChromeLane {
@@ -427,12 +480,7 @@ impl JobService {
         entry.status = JobStatus::Running;
         entry.start_vt = Some(st.vt);
         let pool_name = entry.pool_name.clone();
-        st.events.push(EngineEvent::JobStarted {
-            job: job.id,
-            pool: pool_name,
-            queue_wait,
-            at: st.vt,
-        });
+        st.record(EngineEvent::JobStarted { job: job.id, pool: pool_name, queue_wait, at: st.vt });
         self.inner.stats.add_queue_wait_nanos(queue_wait.as_nanos());
         let engine = Engine::new(self.inner.cluster.clone());
         if let Some(d) = job.deadline_vt {
@@ -523,7 +571,7 @@ impl JobService {
             st.cancels.remove(&run.id);
             match &run.outcome {
                 JobOutcome::Completed { sim_nanos, .. } => {
-                    st.events.push(EngineEvent::JobFinished {
+                    st.record(EngineEvent::JobFinished {
                         job: run.id,
                         ok: true,
                         sim_nanos: *sim_nanos,
@@ -532,7 +580,7 @@ impl JobService {
                     self.inner.stats.add_job_completed();
                 }
                 JobOutcome::Failed { sim_nanos, .. } => {
-                    st.events.push(EngineEvent::JobFinished {
+                    st.record(EngineEvent::JobFinished {
                         job: run.id,
                         ok: false,
                         sim_nanos: *sim_nanos,
@@ -541,7 +589,7 @@ impl JobService {
                     self.inner.stats.add_job_completed();
                 }
                 JobOutcome::Cancelled { reason } => {
-                    st.events.push(EngineEvent::JobCancelled {
+                    st.record(EngineEvent::JobCancelled {
                         job: run.id,
                         reason: reason.clone(),
                         at: run.end_vt,
@@ -566,6 +614,7 @@ impl JobService {
                 outcome: run.outcome,
                 stats: run.stats,
             });
+            st.retire(run.id);
             self.inner.cv.notify_all();
         }
     }
@@ -601,7 +650,7 @@ impl JobService {
         let Some(pos) = st.queued.iter().position(|q| q.id == id) else { return };
         st.queued.remove(pos);
         st.cancels.remove(&id);
-        st.events.push(EngineEvent::JobCancelled { job: id, reason: reason.to_string(), at });
+        st.record(EngineEvent::JobCancelled { job: id, reason: reason.to_string(), at });
         self.inner.stats.add_job_cancelled();
         let entry = st.jobs.get_mut(&id).expect("queued job has an entry");
         let outcome = JobOutcome::Cancelled { reason: reason.to_string() };
@@ -618,6 +667,7 @@ impl JobService {
             outcome,
             stats: StatsSnapshot::default(),
         });
+        st.retire(id);
         self.inner.cv.notify_all();
     }
 

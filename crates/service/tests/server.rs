@@ -2,12 +2,14 @@
 //! protocol, and graceful shutdown.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::thread;
+use std::net::{SocketAddr, TcpStream};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
-use matryoshka_core::MatryoshkaConfig;
+use matryoshka_core::{MatryoshkaConfig, SchedulerConfig};
 use matryoshka_engine::ClusterConfig;
-use matryoshka_service::{JobService, Server};
+use matryoshka_service::service::FINISHED_JOB_HISTORY;
+use matryoshka_service::{JobService, JobSpec, Server};
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -15,14 +17,21 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
+    fn connect(addr: SocketAddr) -> Client {
         let writer = TcpStream::connect(addr).unwrap();
+        writer.set_nodelay(true).unwrap();
         let reader = BufReader::new(writer.try_clone().unwrap());
         Client { reader, writer }
     }
 
+    /// Send a request line and its body (empty for all but `SUBMIT`) in
+    /// one write.
+    fn send_with_body(&mut self, line: &str, body: &str) {
+        self.writer.write_all(format!("{line}\n{body}").as_bytes()).unwrap();
+    }
+
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
+        self.send_with_body(line, "");
     }
 
     fn recv(&mut self) -> String {
@@ -32,19 +41,21 @@ impl Client {
     }
 
     fn submit(&mut self, name: &str, pool: &str, program: &str) -> String {
-        write!(self.writer, "SUBMIT {name} {pool} {}\n{program}", program.len()).unwrap();
-        self.writer.flush().unwrap();
+        self.send_with_body(&format!("SUBMIT {name} {pool} {}", program.len()), program);
         self.recv()
     }
 }
 
-#[test]
-fn server_round_trip_over_tcp() {
-    let service =
-        JobService::new(ClusterConfig::local_test(), MatryoshkaConfig::default(), 11).unwrap();
+/// Serve `service` on an ephemeral port.
+fn serve(service: JobService) -> (SocketAddr, JoinHandle<()>) {
     let server = Server::bind(service, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap();
-    let handle = thread::spawn(move || server.run().unwrap());
+    (addr, thread::spawn(move || server.run().unwrap()))
+}
+
+#[test]
+fn server_round_trip_over_tcp() {
+    let (addr, handle) = serve(JobService::local_test(11));
 
     let mut c = Client::connect(addr);
     c.send("PING");
@@ -92,6 +103,71 @@ fn server_round_trip_over_tcp() {
     c2.send("STATUS 0");
     assert_eq!(c2.recv(), "OK 0 completed");
 
+    c.send("SHUTDOWN");
+    assert_eq!(c.recv(), "OK shutting down");
+    handle.join().expect("server thread");
+}
+
+/// Replies whose text is built from several pieces used to leave in several
+/// writes, and Nagle's algorithm held each later piece back until the
+/// client's delayed ACK (about 40 ms). Fifty round trips of such replies
+/// must take a small fraction of 50 x 40 ms.
+#[test]
+fn replies_with_arguments_do_not_stall_on_delayed_acks() {
+    let (addr, handle) = serve(JobService::local_test(11));
+    let mut c = Client::connect(addr);
+    let bound = Duration::from_secs(1);
+
+    let start = Instant::now();
+    for _ in 0..50 {
+        c.send("STATUS 999");
+        assert_eq!(c.recv(), "ERR unknown job 999");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < bound, "50 STATUS round trips took {elapsed:?}");
+
+    let start = Instant::now();
+    for _ in 0..50 {
+        let mut last = c.submit("bad", "default", "map(source(xs), v => y)");
+        while last.starts_with("DIAG ") {
+            last = c.recv();
+        }
+        assert!(last.starts_with("ERR rejected: "), "{last}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < bound, "50 rejected SUBMIT round trips took {elapsed:?}");
+
+    c.send("SHUTDOWN");
+    assert_eq!(c.recv(), "OK shutting down");
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn evicted_jobs_answer_as_unknown_over_the_wire() {
+    let k = 3;
+    let total = FINISHED_JOB_HISTORY + k;
+    let config = MatryoshkaConfig {
+        scheduler: SchedulerConfig { queue_capacity: total, ..SchedulerConfig::default() },
+        ..MatryoshkaConfig::default()
+    };
+    let service = JobService::new(ClusterConfig::local_test(), config, 11).unwrap();
+    for i in 0..total {
+        service.submit(JobSpec::native(format!("n{i}"), |_| Ok("done".into()))).unwrap();
+    }
+    service.run_until_idle();
+    let (addr, handle) = serve(service);
+    let mut c = Client::connect(addr);
+    for id in 0..k {
+        c.send(&format!("WAIT {id}"));
+        assert_eq!(c.recv(), format!("ERR unknown job {id}"));
+        c.send(&format!("STATUS {id}"));
+        assert_eq!(c.recv(), format!("ERR unknown job {id}"));
+    }
+    c.send(&format!("WAIT {k}"));
+    assert_eq!(c.recv(), format!("OK {k} completed 0 done"), "the oldest retained job");
+    c.send("STATS");
+    let stats = c.recv();
+    assert!(stats.contains(&format!("jobs_completed={total} ")), "{stats}");
     c.send("SHUTDOWN");
     assert_eq!(c.recv(), "OK shutting down");
     handle.join().expect("server thread");

@@ -6,6 +6,7 @@ use matryoshka_core::scheduler::{PoolConfig, SchedulerConfig, SchedulingPolicy};
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::sim::SimTime;
 use matryoshka_engine::{ClusterConfig, Engine};
+use matryoshka_service::service::{FINISHED_JOB_HISTORY, SERVICE_EVENT_HISTORY};
 use matryoshka_service::{JobOutcome, JobService, JobSpec, JobStatus};
 
 /// SplitMix64, for seeded job-cost variation in the property tests.
@@ -360,4 +361,41 @@ fn chrome_export_gives_each_job_its_own_lane() {
     );
     let json = svc.export_json();
     assert!(json.contains("\"jobs_completed\":2"), "summary counters in JSON export");
+}
+
+// ---------------------------------------------------------------------------
+// Retention
+// ---------------------------------------------------------------------------
+
+#[test]
+fn finished_job_history_is_bounded() {
+    let k = 3;
+    let total = FINISHED_JOB_HISTORY + k;
+    let mut cluster = ClusterConfig::local_test();
+    cluster.trace_events = true;
+    let config = MatryoshkaConfig {
+        scheduler: SchedulerConfig { queue_capacity: total, ..SchedulerConfig::default() },
+        ..MatryoshkaConfig::default()
+    };
+    let svc = JobService::new(cluster, config, 5).unwrap();
+    for i in 0..total as u64 {
+        assert_eq!(svc.submit(costed(64)).unwrap(), i, "ids stay in submission order");
+    }
+    svc.run_until_idle();
+
+    let trace = svc.export_chrome_trace();
+    let lane = |id: u64| format!("\"pid\":{},", 2 + id);
+    for id in 0..k as u64 {
+        assert_eq!(svc.report(id), None, "job {id} was evicted");
+        assert_eq!(svc.wait(id), None, "job {id} was evicted");
+        assert_eq!(svc.status(id), None, "job {id} was evicted");
+        assert!(!trace.contains(&lane(id)), "no lane for evicted job {id}");
+    }
+    for id in k as u64..total as u64 {
+        let report = svc.report(id).expect("retained jobs keep their reports");
+        assert!(matches!(report.outcome, JobOutcome::Completed { .. }), "{report:?}");
+        assert!(trace.contains(&lane(id)), "lane for retained job {id}");
+    }
+    assert_eq!(svc.stats().jobs_completed, total as u64, "counters count every job");
+    assert_eq!(svc.events().len(), SERVICE_EVENT_HISTORY.min(3 * total));
 }

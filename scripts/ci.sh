@@ -143,6 +143,23 @@ wait "$SERVE_PID" || {
 }
 rm -f "$SERVE_LOG"
 
+echo "== matbench self-tests + 2 s service_mix run"
+# The benchmark's own tests, then a short closed loop over the wire: every
+# reply must match its reference, so a service change that breaks a wire
+# reply fails here and not only in the benchmark.
+cargo test -q --release --manifest-path matbench/Cargo.toml
+MIX_OUT="$(cargo run -q --release --manifest-path matbench/Cargo.toml -- \
+  --workload service_mix --seed 1 --seconds 2 --trace 0)" || {
+  echo "service_mix run failed:" >&2
+  echo "$MIX_OUT" >&2
+  exit 1
+}
+tail -n 1 <<<"$MIX_OUT" | grep -q '"correct": true' || {
+  echo "service_mix did not report \"correct\": true:" >&2
+  echo "$MIX_OUT" >&2
+  exit 1
+}
+
 echo "== service sweep smoke (scheduler fairness) + BENCH_service.json parse check"
 # Fast policy/load gate on the virtual-time service, then parse-check the
 # committed artifact (both policies, queue waits, admission rejections).
