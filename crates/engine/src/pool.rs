@@ -456,19 +456,52 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::Relaxed), 256, "each item dropped exactly once");
     }
 
+    /// A bounded rendezvous: every arriving thread waits until `want`
+    /// distinct threads have arrived, or until the deadline has passed.
+    struct Rendezvous {
+        seen: Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+        arrived: std::sync::Condvar,
+        want: usize,
+        deadline: std::time::Instant,
+    }
+
+    impl Rendezvous {
+        fn new(want: usize) -> Rendezvous {
+            Rendezvous {
+                seen: Mutex::default(),
+                arrived: std::sync::Condvar::new(),
+                want,
+                deadline: std::time::Instant::now() + std::time::Duration::from_secs(30),
+            }
+        }
+
+        /// Arrive, and wait for the others; whether all `want` arrived.
+        fn meet(&self) -> bool {
+            let mut seen = self.seen.lock().expect("rendezvous lock");
+            seen.insert(std::thread::current().id());
+            self.arrived.notify_all();
+            let left = self.deadline.saturating_duration_since(std::time::Instant::now());
+            let (seen, _) = self
+                .arrived
+                .wait_timeout_while(seen, left, |s| s.len() < self.want)
+                .expect("rendezvous lock");
+            seen.len() >= self.want
+        }
+    }
+
     #[test]
     fn actually_uses_multiple_threads_for_many_items() {
-        use std::collections::HashSet;
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let _ = parallel_map((0..64).collect::<Vec<i32>>(), |_, x| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            // A little work so threads overlap.
-            (0..1000).fold(x, |a, b| a.wrapping_add(b))
-        });
-        // On a multi-core host more than one thread should have participated.
-        if host_parallelism() > 1 {
-            assert!(seen.lock().unwrap().len() > 1);
+        if host_parallelism() < 2 {
+            return;
         }
+        // Every item waits until two threads are inside the map at once. The
+        // thread that claims the first chunk blocks in it, so only another
+        // claimant can release it: the test passes exactly when a second
+        // thread takes part, whatever the timing.
+        let r = Rendezvous::new(2);
+        let met = parallel_map((0..64).collect::<Vec<i32>>(), |_, _| r.meet());
+        assert!(met.iter().all(|&m| m), "no second thread joined the map within 30 s");
+        assert!(r.seen.lock().unwrap().len() > 1);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! `shared_pool_workers()` persistent workers exist, plus each blocked
 //! caller draining its own batch.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use matryoshka_engine::pool::{host_parallelism, parallel_map, shared_pool_workers};
 
@@ -77,33 +80,56 @@ fn interleaved_jobs_do_not_oversubscribe_cores() {
     assert!(peak >= 1, "work must have run");
 }
 
+/// A bounded rendezvous: every arriving thread waits until `want` distinct
+/// threads have arrived, or until the deadline has passed.
+struct Rendezvous {
+    seen: Mutex<HashSet<ThreadId>>,
+    arrived: Condvar,
+    want: usize,
+    deadline: Instant,
+}
+
+impl Rendezvous {
+    fn new(want: usize) -> Rendezvous {
+        Rendezvous {
+            seen: Mutex::default(),
+            arrived: Condvar::new(),
+            want,
+            deadline: Instant::now() + Duration::from_secs(30),
+        }
+    }
+
+    /// Arrive, and wait for the others; whether all `want` arrived.
+    fn meet(&self) -> bool {
+        let mut seen = self.seen.lock().expect("rendezvous lock");
+        seen.insert(std::thread::current().id());
+        self.arrived.notify_all();
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        let (seen, _) = self
+            .arrived
+            .wait_timeout_while(seen, left, |s| s.len() < self.want)
+            .expect("rendezvous lock");
+        seen.len() >= self.want
+    }
+}
+
 #[test]
 fn two_jobs_share_the_same_worker_threads() {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-
-    // Worker-thread identities seen by two sequential "jobs": with one
-    // process-wide pool, the persistent workers overlap across calls.
-    let seen_a: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-    let seen_b: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+    // Two sequential "jobs". In each, every item waits until the caller and
+    // every persistent worker are inside the job at once: a thread blocks in
+    // the first item it claims, so only the others can release it. Both jobs
+    // therefore see exactly the same workers, whatever the timing.
+    let workers = shared_pool_workers();
     let me = std::thread::current().id();
-    let _ = parallel_map((0..4096u64).collect(), |_, x| {
-        seen_a.lock().unwrap().insert(std::thread::current().id());
-        x
-    });
-    let _ = parallel_map((0..4096u64).collect(), |_, x| {
-        seen_b.lock().unwrap().insert(std::thread::current().id());
-        x
-    });
-    let a = seen_a.into_inner().unwrap();
-    let b = seen_b.into_inner().unwrap();
-    if shared_pool_workers() >= 1 {
-        let shared: Vec<_> = a.intersection(&b).filter(|id| **id != me).collect();
-        assert!(
-            !shared.is_empty() || a.len() == 1,
-            "persistent pool workers should serve both calls (a={}, b={})",
-            a.len(),
-            b.len()
-        );
-    }
+    let job = || {
+        let r = Rendezvous::new(workers + 1);
+        let met = parallel_map((0..4096u64).collect(), |_, _| r.meet());
+        assert!(met.iter().all(|&m| m), "not every pool worker joined the job within 30 s");
+        r.seen.into_inner().unwrap()
+    };
+    let a = job();
+    let b = job();
+    assert!(a.contains(&me) && b.contains(&me), "the caller drains its own batch");
+    assert_eq!(a.len(), workers + 1);
+    assert_eq!(a, b, "the same persistent workers serve both calls");
 }

@@ -12,23 +12,27 @@
 //! iteration, multiplying the win. This module is that lever for the IR
 //! layer:
 //!
-//! 1. **Slot resolution** — every variable is resolved to a frame-slot
-//!    index at compile time. Parameters occupy slots `0..n`; each `let` and
-//!    loop binder gets a fresh slot. Shadowing is resolved lexically, so no
-//!    runtime lookup ever happens.
-//! 2. **Flat register frame** — evaluation runs against a `Vec<Value>`
-//!    scratch frame borrowed from a thread-local pool and reused across
-//!    records: no per-record environment allocation, no clone-on-`Let`.
-//!    Slots are def-before-use by construction (a binder's slot is written
-//!    before its body runs), so frames never need clearing between records.
+//! 1. **Slot resolution** — every variable is resolved at compile time to
+//!    a parameter or to a local slot. Each `let` and loop binder gets a fresh
+//!    local. Shadowing is resolved lexically, so no runtime lookup ever
+//!    happens.
+//! 2. **Arguments in place** — parameters are read straight from the
+//!    caller's `&Value`s (for a lifted closure, the components of its
+//!    combined tuple), never copied into a frame. Only locals need storage:
+//!    a thread-local `Vec<Value>` reused across records, which a UDF without
+//!    locals never touches. Locals are def-before-use by construction (a
+//!    binder's slot is written before its body runs), so the buffer never
+//!    needs clearing between records.
 //! 3. **Constant folding** — capture-only subexpressions (closure constants
 //!    are inlined as literals at compile time) fold to single constants,
 //!    guarded so that folding can never turn a lazily-avoided runtime error
 //!    or a debug-mode overflow panic into a compile-time one.
-//! 4. **Shape fast paths** — projection chains off a slot (`v.0.1`) walk by
-//!    reference and clone once ([`crate::Value::proj_ref`]); statically
-//!    `Long`/`Double` arithmetic (typed via [`ScalarKind`], the
-//!    type-checker's scalar refinement) skips the dynamic dispatch; and
+//! 4. **Shape fast paths** — operators read constants, parameters and
+//!    projection chains off a parameter (`v.0.1`, walked with
+//!    [`crate::Value::proj_ref`]) by reference; statically `Long`/`Double`
+//!    arithmetic (typed via [`ScalarKind`], the type-checker's scalar
+//!    refinement) skips the dynamic dispatch, and a chain of `Double`
+//!    arithmetic and `toDouble` computes in unboxed `f64`; and
 //!    `if a < b then .. else ..` compares straight into the branch without
 //!    materializing a boolean `Value`.
 //!
@@ -42,6 +46,7 @@
 //! `MatryoshkaConfig::interpret_udfs` forces the interpreted path for the
 //! `udf_eval` bench ablation. See `docs/ANALYSIS.md`, "UDF compilation".
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,28 +66,37 @@ type PureEnv = HashMap<String, Value>;
 /// [`CompiledUdf::eval_with_combined`] (lifted `mapWithClosure` shapes where
 /// the closure values arrive as one combined tuple per tag).
 pub struct CompiledUdf {
-    /// Parameter names, in slot order (`params[i]` lives in frame slot `i`).
+    /// Parameter names, in order (`params[i]` is [`Slot::Arg`]`(i)`).
     params: Vec<String>,
     mode: Mode,
 }
 
 enum Mode {
-    /// The compiled program and the frame size it needs.
-    Compiled { code: Op, frame_len: usize },
+    /// The compiled program and the number of local slots it binds.
+    Compiled { code: Op, locals: usize },
     /// The ablation/debug path: per-record `eval_pure` interpretation, with
     /// the same per-record cost profile the lowering had before compilation
     /// (fresh capture-env clone + name insertion per record).
     Interpreted { body: Arc<Expr>, captures: PureEnv },
 }
 
-/// A compiled scalar operation over a register frame.
+/// Where a variable lives while a UDF runs.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Parameter `i`: the caller's value, read in place and never copied.
+    Arg(usize),
+    /// Local `i` of the frame: a `let` or `loop` binder.
+    Local(usize),
+}
+
+/// A compiled scalar operation.
 enum Op {
     /// A literal (also: inlined closure captures and folded constants).
     Const(Value),
-    /// Read a frame slot.
-    Slot(usize),
-    /// Projection chain rooted at a slot: walk by reference, clone once.
-    ProjPath(usize, Box<[usize]>),
+    /// Read a variable.
+    Slot(Slot),
+    /// Projection chain rooted at a variable: walk by reference.
+    ProjPath(Slot, Box<[usize]>),
     /// Generic projection.
     Proj(Box<Op>, usize),
     /// Tuple construction.
@@ -90,51 +104,106 @@ enum Op {
     /// Generic binary operator (delegates to [`apply_bin`]).
     Bin(BinOp, Box<Op>, Box<Op>),
     /// `Eq`/`Lt`/`Gt` inlined (byte-for-byte [`apply_bin`] semantics:
-    /// ordering compares through `as_f64`, equality is structural) — skips
-    /// the generic dispatch on the hottest loop-condition shape.
+    /// ordering compares through `as_f64`, equality is structural). As the
+    /// condition of an `if` or a `loop` it feeds the branch directly, without
+    /// materializing a `Bool`.
     Cmp(BinOp, Box<Op>, Box<Op>),
     /// `Add`/`Sub`/`Mul` with both operands statically `Long`.
     LongArith(BinOp, Box<Op>, Box<Op>),
     /// `Add`/`Sub`/`Mul`/`Div` guaranteed to take the `f64` path (at least
-    /// one operand statically `Double`, or the operator is `Div`).
+    /// one operand statically `Double`, or the operator is `Div`, which
+    /// divides the `f64` conversions even of two `Long`s).
     DoubleArith(BinOp, Box<Op>, Box<Op>),
     /// Generic unary operator (delegates to [`apply_un`]).
     Un(UnOp, Box<Op>),
-    /// Write a slot, then run the body (no restore needed: slots are unique
+    /// Write a local, then run the body (no restore needed: locals are unique
     /// per binder, so shadowing is resolved at compile time).
     Let(usize, Box<Op>, Box<Op>),
     /// Conditional.
     If(Box<Op>, Box<Op>, Box<Op>),
-    /// Comparison-into-branch fast path: `if a <op> b then t else e`
-    /// without materializing the intermediate boolean.
-    IfCmp { op: BinOp, a: Box<Op>, b: Box<Op>, then: Box<Op>, els: Box<Op> },
-    /// A scalar `while` loop: bind `init` slots in order, then while `cond`
-    /// holds re-assign all slots simultaneously from `step`.
-    While { init: Vec<(usize, Op)>, cond: Box<Op>, step: Vec<Op>, result: Box<Op> },
+    /// A scalar `while` loop (boxed: rare, and large).
+    While(Box<Loop>),
     /// A node that errors when (and only when) evaluation reaches it —
     /// preserves the interpreter's lazy error behaviour for unbound names
     /// and bag operations in scalar contexts.
-    Fail(IrError),
+    Fail(Box<IrError>),
+}
+
+/// Bind the `init` locals in order, then while `cond` holds re-assign all
+/// of them simultaneously from `step`.
+struct Loop {
+    init: Vec<(usize, Op)>,
+    cond: Op,
+    step: Vec<Op>,
+    /// The first of `step.len()` locals that stage the simultaneous
+    /// assignment.
+    stage: usize,
+    result: Op,
+}
+
+/// The state of one call: the arguments, borrowed from the caller for the
+/// whole call, and the local slots.
+struct Frame<'v> {
+    /// Parameter 0.
+    first: &'v Value,
+    /// Parameters `1..`: `eval2`'s second argument, or the components of the
+    /// combined closure tuple.
+    rest: &'v [Value],
+    /// `let`/`loop` binders. Slots are def-before-use by construction (a
+    /// binder's slot is written before its body runs), so they are never
+    /// cleared between calls.
+    locals: &'v mut [Value],
+}
+
+impl<'v> Frame<'v> {
+    /// Parameter `i`, borrowed for the whole call.
+    fn arg(&self, i: usize) -> &'v Value {
+        if i == 0 {
+            self.first
+        } else {
+            &self.rest[i - 1]
+        }
+    }
+
+    fn get(&self, s: Slot) -> &Value {
+        match s {
+            Slot::Arg(i) => self.arg(i),
+            Slot::Local(i) => &self.locals[i],
+        }
+    }
 }
 
 thread_local! {
-    /// Per-thread scratch frame, reused across records and across UDFs
-    /// (frames only grow; def-before-use slotting makes stale values
-    /// unreachable). Taken/replaced rather than borrowed so a re-entrant
-    /// evaluation degrades to a fresh allocation instead of a panic.
-    static FRAME: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread local slots, reused across records and across UDFs (they
+    /// only grow; def-before-use slotting makes stale values unreachable).
+    /// UDFs that bind no local never touch it.
+    static LOCALS: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
 }
 
-fn with_frame<R>(frame_len: usize, f: impl FnOnce(&mut [Value]) -> R) -> R {
-    FRAME.with(|cell| {
-        let mut buf = cell.take();
-        if buf.len() < frame_len {
-            buf.resize(frame_len, Value::Unit);
+/// Run `code` on the caller's arguments with `locals` local slots.
+fn call(code: &Op, locals: usize, first: &Value, rest: &[Value]) -> IrResult<Value> {
+    if locals == 0 {
+        return code.run(&mut Frame { first, rest, locals: &mut [] });
+    }
+    LOCALS.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            if buf.len() < locals {
+                buf.resize(locals, Value::Unit);
+            }
+            code.run(&mut Frame { first, rest, locals: &mut buf })
         }
-        let r = f(&mut buf);
-        cell.replace(buf);
-        r
+        // A re-entrant call: the buffer is in use further up this thread's
+        // stack, so this call gets a fresh one instead of a panic.
+        Err(_) => code.run(&mut Frame { first, rest, locals: &mut vec![Value::Unit; locals] }),
     })
+}
+
+/// Walk a projection path by reference.
+fn walk<'a>(mut cur: &'a Value, path: &[usize]) -> IrResult<&'a Value> {
+    for &i in path {
+        cur = cur.proj_ref(i)?;
+    }
+    Ok(cur)
 }
 
 impl CompiledUdf {
@@ -156,16 +225,15 @@ impl CompiledUdf {
             scope: params
                 .iter()
                 .enumerate()
-                .map(|(i, p)| (p.to_string(), i, ScalarKind::Any))
+                .map(|(i, p)| (p.to_string(), Slot::Arg(i), ScalarKind::Any))
                 .collect(),
-            next_slot: params.len(),
+            next_local: 0,
         };
         let (code, _) = c.compile(body);
-        let frame_len = c.next_slot.max(params.len());
-        CompiledUdf { params: params_owned, mode: Mode::Compiled { code, frame_len } }
+        CompiledUdf { params: params_owned, mode: Mode::Compiled { code, locals: c.next_local } }
     }
 
-    /// Number of parameters (frame slots `0..arity` are arguments).
+    /// Number of parameters.
     pub fn arity(&self) -> usize {
         self.params.len()
     }
@@ -174,10 +242,7 @@ impl CompiledUdf {
     pub fn eval1(&self, v: &Value) -> IrResult<Value> {
         debug_assert_eq!(self.params.len(), 1);
         match &self.mode {
-            Mode::Compiled { code, frame_len } => with_frame(*frame_len, |frame| {
-                frame[0] = v.clone();
-                code.run(frame)
-            }),
+            Mode::Compiled { code, locals } => call(code, *locals, v, &[]),
             Mode::Interpreted { body, captures } => {
                 let mut env = captures.clone();
                 env.insert(self.params[0].clone(), v.clone());
@@ -190,11 +255,7 @@ impl CompiledUdf {
     pub fn eval2(&self, a: &Value, b: &Value) -> IrResult<Value> {
         debug_assert_eq!(self.params.len(), 2);
         match &self.mode {
-            Mode::Compiled { code, frame_len } => with_frame(*frame_len, |frame| {
-                frame[0] = a.clone();
-                frame[1] = b.clone();
-                code.run(frame)
-            }),
+            Mode::Compiled { code, locals } => call(code, *locals, a, std::slice::from_ref(b)),
             Mode::Interpreted { body, captures } => {
                 let mut env = captures.clone();
                 env.insert(self.params[0].clone(), a.clone());
@@ -209,14 +270,20 @@ impl CompiledUdf {
     /// (the single tag-joined `mapWithClosure` argument of paper Sec. 5.1).
     pub fn eval_with_combined(&self, v: &Value, combined: &Value) -> IrResult<Value> {
         debug_assert!(self.params.len() >= 2);
+        let n = self.params.len() - 1;
         match &self.mode {
-            Mode::Compiled { code, frame_len } => with_frame(*frame_len, |frame| {
-                frame[0] = v.clone();
-                for (i, slot) in frame.iter_mut().enumerate().take(self.params.len()).skip(1) {
-                    *slot = combined.proj(i - 1).expect("combined closure arity");
-                }
-                code.run(frame)
-            }),
+            Mode::Compiled { code, locals } => {
+                let components = match combined {
+                    Value::Tuple(items) if items.len() >= n => items.as_slice(),
+                    // Not a tuple, or too short: the missing component's
+                    // projection error, as a panic.
+                    other => {
+                        other.proj_ref(n - 1).expect("combined closure arity");
+                        unreachable!("projection of a missing component succeeded")
+                    }
+                };
+                call(code, *locals, v, components)
+            }
             Mode::Interpreted { body, captures } => {
                 let mut env = captures.clone();
                 for i in 1..self.params.len() {
@@ -237,104 +304,115 @@ impl CompiledUdf {
     }
 }
 
+/// Why a numeric operand produced no `f64`: its evaluation failed, or its
+/// value is not a number. The interpreter evaluates both operands of an
+/// arithmetic operator before it converts either, so the two kinds of error
+/// are raised at different points.
+enum NumErr {
+    Eval(IrError),
+    NotNumber(IrError),
+}
+
+impl From<NumErr> for IrError {
+    fn from(e: NumErr) -> IrError {
+        match e {
+            NumErr::Eval(e) | NumErr::NotNumber(e) => e,
+        }
+    }
+}
+
 impl Op {
-    fn run(&self, frame: &mut [Value]) -> IrResult<Value> {
+    fn run<'v>(&'v self, f: &mut Frame<'v>) -> IrResult<Value> {
         Ok(match self {
             Op::Const(v) => v.clone(),
-            Op::Slot(s) => frame[*s].clone(),
-            Op::ProjPath(s, path) => {
-                let mut cur = &frame[*s];
-                for &i in path.iter() {
-                    cur = cur.proj_ref(i)?;
-                }
-                cur.clone()
+            Op::Slot(s) => f.get(*s).clone(),
+            Op::ProjPath(s, path) => walk(f.get(*s), path)?.clone(),
+            Op::Proj(x, i) => x.run(f)?.proj(*i)?,
+            Op::Tuple(items) => run_tuple(items, f)?,
+            Op::Bin(op, a, b) => {
+                let (av, bv) = (a.operand(f)?, b.operand(f)?);
+                apply_bin(*op, &av, &bv)?
             }
-            Op::Proj(x, i) => x.run(frame)?.proj(*i)?,
-            Op::Tuple(items) => {
-                Value::tuple(items.iter().map(|x| x.run(frame)).collect::<IrResult<_>>()?)
-            }
-            Op::Bin(op, a, b) => apply_bin(*op, &a.run(frame)?, &b.run(frame)?)?,
-            Op::Cmp(op, a, b) => {
-                let (av, bv) = (a.run(frame)?, b.run(frame)?);
-                Value::Bool(match op {
-                    BinOp::Lt => av.as_f64()? < bv.as_f64()?,
-                    BinOp::Gt => av.as_f64()? > bv.as_f64()?,
-                    _ => av == bv,
-                })
-            }
-            Op::LongArith(op, a, b) => match (a.run(frame)?, b.run(frame)?) {
-                (Value::Long(x), Value::Long(y)) => Value::Long(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    _ => x * y,
-                }),
-                // The static `Long` guarantee is belt-and-braces: fall back
-                // to the generic operator so a refinement bug can only cost
-                // speed, never change a result.
-                (x, y) => apply_bin(*op, &x, &y)?,
-            },
-            Op::DoubleArith(op, a, b) => {
-                let (av, bv) = (a.run(frame)?, b.run(frame)?);
-                if let (Value::Long(_), Value::Long(_)) = (&av, &bv) {
-                    // Statically unreachable for Add/Sub/Mul (one side is
-                    // proven Double); Div lands here and takes the same
-                    // two-float path either way.
-                    apply_bin(*op, &av, &bv)?
-                } else {
-                    let (x, y) = (av.as_f64()?, bv.as_f64()?);
-                    Value::Double(match op {
+            Op::Cmp(op, a, b) => Value::Bool(compare(*op, a, b, f)?),
+            Op::LongArith(op, a, b) => {
+                let (av, bv) = (a.operand(f)?, b.operand(f)?);
+                match (&*av, &*bv) {
+                    (Value::Long(x), Value::Long(y)) => Value::Long(match op {
                         BinOp::Add => x + y,
                         BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        _ => x / y,
-                    })
+                        _ => x * y,
+                    }),
+                    // The static `Long` guarantee is belt-and-braces: fall
+                    // back to the generic operator so a refinement bug can
+                    // only cost speed, never change a result.
+                    _ => apply_bin(*op, &av, &bv)?,
                 }
             }
-            Op::Un(op, a) => apply_un(*op, &a.run(frame)?)?,
+            Op::DoubleArith(..) | Op::Un(UnOp::ToDouble, _) => Value::Double(self.run_f64(f)?),
+            Op::Un(op, a) => {
+                let av = a.operand(f)?;
+                apply_un(*op, &av)?
+            }
             Op::Let(slot, v, b) => {
-                frame[*slot] = v.run(frame)?;
-                b.run(frame)?
+                f.locals[*slot] = v.run(f)?;
+                b.run(f)?
             }
             Op::If(c, t, e) => {
-                if c.run(frame)?.as_bool()? {
-                    t.run(frame)?
+                if c.run_bool(f)? {
+                    t.run(f)?
                 } else {
-                    e.run(frame)?
+                    e.run(f)?
                 }
             }
-            Op::IfCmp { op, a, b, then, els } => {
-                let (av, bv) = (a.run(frame)?, b.run(frame)?);
-                let c = match op {
-                    BinOp::Lt => av.as_f64()? < bv.as_f64()?,
-                    BinOp::Gt => av.as_f64()? > bv.as_f64()?,
-                    _ => av == bv,
-                };
-                if c {
-                    then.run(frame)?
-                } else {
-                    els.run(frame)?
-                }
-            }
-            Op::While { init, cond, step, result } => {
-                for (slot, op) in init {
-                    frame[*slot] = op.run(frame)?;
-                }
-                // One scratch buffer for the whole loop: the simultaneous
-                // step assignment needs staging, but not a fresh Vec per
-                // iteration.
-                let mut next = Vec::with_capacity(step.len());
-                while cond.run(frame)?.as_bool()? {
-                    for op in step {
-                        next.push(op.run(frame)?);
-                    }
-                    for ((slot, _), v) in init.iter().zip(next.drain(..)) {
-                        frame[*slot] = v;
-                    }
-                }
-                result.run(frame)?
-            }
-            Op::Fail(e) => return Err(e.clone()),
+            Op::While(l) => l.run(f)?,
+            Op::Fail(e) => return Err((**e).clone()),
         })
+    }
+
+    /// This op's value, borrowed where it already exists for the whole call
+    /// (constants, arguments and projections of arguments); locals and
+    /// computed values are owned.
+    #[inline(always)]
+    fn operand<'v>(&'v self, f: &mut Frame<'v>) -> IrResult<Cow<'v, Value>> {
+        Ok(match self {
+            Op::Const(v) => Cow::Borrowed(v),
+            Op::Slot(Slot::Arg(i)) => Cow::Borrowed(f.arg(*i)),
+            Op::Slot(Slot::Local(i)) => Cow::Owned(f.locals[*i].clone()),
+            Op::ProjPath(Slot::Arg(i), path) => Cow::Borrowed(walk(f.arg(*i), path)?),
+            _ => Cow::Owned(self.run(f)?),
+        })
+    }
+
+    /// `self.run(f)?.as_f64()`, computed without boxing: a chain of
+    /// `DoubleArith`/`ToDouble` ops stays in `f64` down to its leaves.
+    fn run_f64<'v>(&'v self, f: &mut Frame<'v>) -> Result<f64, NumErr> {
+        let value = match self {
+            Op::Const(v) => v,
+            Op::Slot(s) => f.get(*s),
+            Op::ProjPath(s, path) => walk(f.get(*s), path).map_err(NumErr::Eval)?,
+            // The value of `toDouble(a)` and of `DoubleArith` is a `Double`;
+            // any failure inside is a failure to evaluate it.
+            Op::Un(UnOp::ToDouble, a) => return a.run_f64(f).map_err(|e| NumErr::Eval(e.into())),
+            Op::DoubleArith(op, a, b) => {
+                let (x, y) = f64_pair(a, b, f).map_err(NumErr::Eval)?;
+                return Ok(match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    _ => x / y,
+                });
+            }
+            _ => return self.run(f).map_err(NumErr::Eval)?.as_f64().map_err(NumErr::NotNumber),
+        };
+        value.as_f64().map_err(NumErr::NotNumber)
+    }
+
+    /// `self.run(f)?.as_bool()`, without a `Bool` in between for comparisons.
+    fn run_bool<'v>(&'v self, f: &mut Frame<'v>) -> IrResult<bool> {
+        match self {
+            Op::Cmp(op, a, b) => compare(*op, a, b, f),
+            _ => self.run(f)?.as_bool(),
+        }
     }
 
     fn as_const(&self) -> Option<&Value> {
@@ -345,13 +423,72 @@ impl Op {
     }
 }
 
+impl Loop {
+    #[inline(never)]
+    fn run<'v>(&'v self, f: &mut Frame<'v>) -> IrResult<Value> {
+        for (slot, op) in &self.init {
+            f.locals[*slot] = op.run(f)?;
+        }
+        while self.cond.run_bool(f)? {
+            for (k, op) in self.step.iter().enumerate() {
+                f.locals[self.stage + k] = op.run(f)?;
+            }
+            for (k, (slot, _)) in self.init.iter().enumerate() {
+                f.locals.swap(*slot, self.stage + k);
+            }
+        }
+        self.result.run(f)
+    }
+}
+
+// `Loop::run` and `run_tuple` stay out of line: they are rare, and
+// inlined they would enlarge the stack frame of every `Op::run` call.
+#[inline(never)]
+fn run_tuple<'v>(items: &'v [Op], f: &mut Frame<'v>) -> IrResult<Value> {
+    Ok(Value::tuple(items.iter().map(|x| x.run(f)).collect::<IrResult<_>>()?))
+}
+
+/// Both operands as `f64`, with the interpreter's error order: `a` is
+/// evaluated, then `b`, and only then is either converted.
+fn f64_pair<'v>(a: &'v Op, b: &'v Op, f: &mut Frame<'v>) -> IrResult<(f64, f64)> {
+    let x = match a.run_f64(f) {
+        Ok(x) => Ok(x),
+        Err(NumErr::Eval(e)) => return Err(e),
+        Err(NumErr::NotNumber(e)) => Err(e),
+    };
+    let y = match b.run_f64(f) {
+        Ok(y) => y,
+        Err(NumErr::Eval(e)) => return Err(e),
+        Err(NumErr::NotNumber(e)) => return Err(x.err().unwrap_or(e)),
+    };
+    Ok((x?, y))
+}
+
+/// `Eq`/`Lt`/`Gt` with [`apply_bin`]'s semantics.
+fn compare<'v>(op: BinOp, a: &'v Op, b: &'v Op, f: &mut Frame<'v>) -> IrResult<bool> {
+    Ok(match op {
+        BinOp::Lt => {
+            let (x, y) = f64_pair(a, b, f)?;
+            x < y
+        }
+        BinOp::Gt => {
+            let (x, y) = f64_pair(a, b, f)?;
+            x > y
+        }
+        _ => {
+            let av = a.operand(f)?;
+            av == b.operand(f)?
+        }
+    })
+}
+
 /// Compile-time state: the capture environment (inlined as constants) and
 /// the lexical scope mapping names to slots with their static kinds.
 struct Compiler<'a> {
     captures: &'a PureEnv,
     /// Innermost binding last; resolved back-to-front.
-    scope: Vec<(String, usize, ScalarKind)>,
-    next_slot: usize,
+    scope: Vec<(String, Slot, ScalarKind)>,
+    next_local: usize,
 }
 
 /// Folding a `Long` arithmetic constant is only safe when it provably
@@ -386,8 +523,8 @@ fn try_fold(op: Op) -> Op {
         _ => false,
     };
     if foldable {
-        let mut empty: [Value; 0] = [];
-        if let Ok(v) = op.run(&mut empty) {
+        // Constant operands only: the frame is never read.
+        if let Ok(v) = op.run(&mut Frame { first: &Value::Unit, rest: &[], locals: &mut [] }) {
             return Op::Const(v);
         }
     }
@@ -395,9 +532,9 @@ fn try_fold(op: Op) -> Op {
 }
 
 impl Compiler<'_> {
-    fn fresh_slot(&mut self) -> usize {
-        let s = self.next_slot;
-        self.next_slot += 1;
+    fn fresh_local(&mut self) -> usize {
+        let s = self.next_local;
+        self.next_local += 1;
         s
     }
 
@@ -418,7 +555,7 @@ impl Compiler<'_> {
                 }
                 match self.captures.get(n) {
                     Some(v) => (Op::Const(v.clone()), ScalarKind::of_value(v)),
-                    None => (Op::Fail(IrError::Unbound(n.clone())), ScalarKind::Any),
+                    None => (Op::Fail(Box::new(IrError::Unbound(n.clone()))), ScalarKind::Any),
                 }
             }
             Expr::Tuple(items) => {
@@ -484,8 +621,8 @@ impl Compiler<'_> {
             }
             Expr::Let(n, v, b) => {
                 let (vo, vk) = self.compile(v);
-                let slot = self.fresh_slot();
-                self.scope.push((n.clone(), slot, vk));
+                let slot = self.fresh_local();
+                self.scope.push((n.clone(), Slot::Local(slot), vk));
                 let (bo, bk) = self.compile(b);
                 self.scope.pop();
                 // A fully-folded body with a constant (side-effect-free)
@@ -505,14 +642,7 @@ impl Compiler<'_> {
                 }
                 let (to, tk) = self.compile(t);
                 let (eo, ek) = self.compile(el);
-                let kind = tk.join(ek);
-                let op = match co {
-                    Op::Cmp(bop, a, b) => {
-                        Op::IfCmp { op: bop, a, b, then: Box::new(to), els: Box::new(eo) }
-                    }
-                    other => Op::If(Box::new(other), Box::new(to), Box::new(eo)),
-                };
-                (op, kind)
+                (Op::If(Box::new(co), Box::new(to), Box::new(eo)), tk.join(ek))
             }
             Expr::Loop { init, cond, step, result } => {
                 // Loop variables are re-assigned from `step` every
@@ -523,20 +653,20 @@ impl Compiler<'_> {
                 // in at most `init.len() + 1` passes. Each pass rewinds the
                 // slot counter so the final code sees a stable numbering.
                 let scope_base = self.scope.len();
-                let slot_base = self.next_slot;
+                let slot_base = self.next_local;
                 let mut kinds: Option<Vec<ScalarKind>> = None;
                 loop {
                     self.scope.truncate(scope_base);
-                    self.next_slot = slot_base;
+                    self.next_local = slot_base;
                     // Initializers see the loop variables bound so far (the
                     // interpreter binds them progressively).
                     let mut init_ops = Vec::with_capacity(init.len());
                     let mut assigned = Vec::with_capacity(init.len());
                     for (idx, (n, x)) in init.iter().enumerate() {
                         let (xo, xk) = self.compile(x);
-                        let slot = self.fresh_slot();
+                        let slot = self.fresh_local();
                         let k = kinds.as_ref().map_or(xk, |ks| ks[idx].join(xk));
-                        self.scope.push((n.clone(), slot, k));
+                        self.scope.push((n.clone(), Slot::Local(slot), k));
                         init_ops.push((slot, xo));
                         assigned.push(k);
                     }
@@ -549,15 +679,18 @@ impl Compiler<'_> {
                         kinds = Some(widened);
                         continue;
                     }
+                    let stage = self.next_local;
+                    self.next_local += steps.len();
                     let (result_op, rk) = self.compile(result);
                     self.scope.truncate(scope_base);
                     return (
-                        Op::While {
+                        Op::While(Box::new(Loop {
                             init: init_ops,
-                            cond: Box::new(cond_op),
+                            cond: cond_op,
                             step: steps.into_iter().map(|(o, _)| o).collect(),
-                            result: Box::new(result_op),
-                        },
+                            stage,
+                            result: result_op,
+                        })),
                         rk,
                     );
                 }
@@ -569,9 +702,9 @@ impl Compiler<'_> {
                 // Bag operations in a scalar-only context: the interpreter
                 // errors when evaluation *reaches* the node — reproduce that
                 // lazily, with the same message.
-                Op::Fail(IrError::Unsupported(format!(
+                Op::Fail(Box::new(IrError::Unsupported(format!(
                     "bag operation in a scalar-only context: {other:?}"
-                ))),
+                )))),
                 ScalarKind::Any,
             ),
         }
@@ -778,6 +911,46 @@ mod tests {
             c.eval1(&Value::str("x")).unwrap_err().to_string(),
             oracle(&body, &PureEnv::new(), &Value::str("x")).unwrap_err().to_string()
         );
+    }
+
+    #[test]
+    fn reentrant_calls_get_a_fresh_frame() {
+        // let a = v * 2 in loop (i = a, acc = 0) while i > 0 do (i - 1, acc + i) yield acc
+        let with_locals = compile1(
+            Expr::let_(
+                "a",
+                Expr::bin(BinOp::Mul, Expr::var("v"), Expr::long(2)),
+                Expr::Loop {
+                    init: vec![("i".into(), Expr::var("a")), ("acc".into(), Expr::long(0))],
+                    cond: Box::new(Expr::bin(BinOp::Gt, Expr::var("i"), Expr::long(0))),
+                    step: vec![
+                        Expr::bin(BinOp::Sub, Expr::var("i"), Expr::long(1)),
+                        Expr::bin(BinOp::Add, Expr::var("acc"), Expr::var("i")),
+                    ],
+                    result: Box::new(Expr::var("acc")),
+                },
+            ),
+            PureEnv::new(),
+        );
+        let no_locals =
+            compile1(Expr::bin(BinOp::Add, Expr::var("v"), Expr::long(1)), PureEnv::new());
+        let Mode::Compiled { locals, .. } = &with_locals.mode else { panic!("not compiled") };
+        assert_eq!(*locals, 5, "a, i, acc and two staging slots");
+        let warm = with_locals.eval1(&Value::Long(3)).unwrap();
+        assert_eq!(warm, Value::Long(21));
+        // While this thread's buffer is borrowed (as by an evaluation further
+        // up the stack), calls still succeed: a UDF with locals on a fresh
+        // frame, one without locals on no frame at all.
+        LOCALS.with(|cell| {
+            let held = cell.borrow_mut();
+            assert_eq!(with_locals.eval1(&Value::Long(3)).unwrap(), warm);
+            assert_eq!(with_locals.eval1(&Value::Long(4)).unwrap(), Value::Long(36));
+            assert_eq!(no_locals.eval1(&Value::Long(4)).unwrap(), Value::Long(5));
+            drop(held);
+        });
+        // Afterwards the shared buffer is usable again and has been sized.
+        assert_eq!(with_locals.eval1(&Value::Long(1)).unwrap(), Value::Long(3));
+        assert!(LOCALS.with(|cell| cell.borrow().len()) >= 5);
     }
 
     #[test]

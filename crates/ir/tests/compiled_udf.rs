@@ -152,7 +152,43 @@ fn capture(f: impl FnOnce() -> Result<Value, matryoshka_ir::IrError>) -> Outcome
     catch_unwind(AssertUnwindSafe(f)).map(|r| r.map_err(|e| e.to_string())).map_err(|_| ())
 }
 
-fn differential_case(seed: u64, depth: u32) {
+/// Does evaluating `e` bind a `let` or `loop` variable (a local slot)?
+fn binds_locals(e: &Expr) -> bool {
+    match e {
+        Expr::Let(..) | Expr::Loop { .. } => true,
+        Expr::Tuple(items) => items.iter().any(binds_locals),
+        Expr::Proj(x, _) | Expr::Un(_, x) => binds_locals(x),
+        Expr::Bin(_, a, b) => binds_locals(a) || binds_locals(b),
+        Expr::If(c, t, e) => binds_locals(c) || binds_locals(t) || binds_locals(e),
+        _ => false,
+    }
+}
+
+/// The `(p, q)` argument pairs every tree is evaluated on: mixed kinds, plus
+/// the edge operands of the `f64` and `Long` paths — signed zero, NaN,
+/// `i64::MIN` (whose negation overflows), two `Long`s (whose `Div` is a
+/// float division) and a `Str` in whatever arithmetic position the tree
+/// puts it.
+fn argument_pairs() -> Vec<(Value, Value)> {
+    vec![
+        (Value::Long(5), Value::Long(-3)),
+        (Value::Double(2.5), Value::Long(1000)),
+        (Value::tuple(vec![Value::Long(9), Value::Bool(true)]), Value::str("s")),
+        (Value::Double(-0.0), Value::Double(f64::NAN)),
+        (Value::Long(i64::MIN), Value::Long(7)),
+        (Value::str("x"), Value::Double(-0.0)),
+    ]
+}
+
+/// Evaluates one seeded tree through every entry point and frame shape and
+/// returns whether the tree binds locals. The body reads `p`, `q` and the
+/// captures `ca`, `cb`, `cc`; each entry point makes a different subset of
+/// them parameters:
+/// - `eval2(p, q)`;
+/// - `eval1(p)`, with `q` a capture (inlined, so it also folds);
+/// - `eval_with_combined(p, (q))`: a 1-component closure tuple;
+/// - `eval_with_combined(p, (q, ca, cb))`: a 3-component closure tuple.
+fn differential_case(seed: u64, depth: u32) -> bool {
     let mut g = Gen {
         rng: Rng(seed.wrapping_mul(0x9e3779b9) ^ 0x636f_6d70_696c_6564), // "compiled"
         scope: vec!["p".into(), "q".into(), "ca".into(), "cb".into(), "cc".into()],
@@ -164,27 +200,41 @@ fn differential_case(seed: u64, depth: u32) {
         ("cb".to_string(), Value::Double(0.25)),
         ("cc".to_string(), Value::tuple(vec![Value::Long(1), Value::str("t")])),
     ]);
-    let compiled = CompiledUdf::new(&body, &["p", "q"], captures.clone(), false);
-    assert!(compiled.is_compiled());
+    let compiled2 = CompiledUdf::new(&body, &["p", "q"], captures.clone(), false);
+    let only_cc = HashMap::from([("cc".to_string(), captures["cc"].clone())]);
+    let combined3 = CompiledUdf::new(&body, &["p", "q", "ca", "cb"], only_cc, false);
+    assert!(compiled2.is_compiled() && combined3.is_compiled());
 
-    let args = [
-        (Value::Long(5), Value::Long(-3)),
-        (Value::Double(2.5), Value::Long(1000)),
-        (Value::tuple(vec![Value::Long(9), Value::Bool(true)]), Value::str("s")),
-    ];
-    for (p, q) in &args {
-        let got = capture(|| compiled.eval2(p, q));
-        let want = capture(|| {
+    for (p, q) in &argument_pairs() {
+        let env = {
             let mut env = captures.clone();
             env.insert("p".to_string(), p.clone());
             env.insert("q".to_string(), q.clone());
-            eval_pure(&body, &env)
-        });
-        assert_eq!(
-            got, want,
-            "seed {seed}: compiled and interpreted disagree on {body:?} at p={p}, q={q}"
-        );
+            env
+        };
+        let want = capture(|| eval_pure(&body, &env));
+        let mut with_q = captures.clone();
+        with_q.insert("q".to_string(), q.clone());
+        let compiled1 = CompiledUdf::new(&body, &["p"], with_q, false);
+        let closure3 =
+            Value::tuple(vec![q.clone(), captures["ca"].clone(), captures["cb"].clone()]);
+        let runs: [(&str, Outcome); 4] = [
+            ("eval2", capture(|| compiled2.eval2(p, q))),
+            ("eval1", capture(|| compiled1.eval1(p))),
+            (
+                "combined/1",
+                capture(|| compiled2.eval_with_combined(p, &Value::tuple(vec![q.clone()]))),
+            ),
+            ("combined/3", capture(|| combined3.eval_with_combined(p, &closure3))),
+        ];
+        for (entry, got) in runs {
+            assert_eq!(
+                got, want,
+                "seed {seed}: compiled ({entry}) and interpreted disagree on {body:?} at p={p}, q={q}"
+            );
+        }
     }
+    binds_locals(&body)
 }
 
 #[test]
@@ -193,16 +243,77 @@ fn compiled_matches_interpreter_on_random_trees() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let run = catch_unwind(|| {
-        for seed in 0..600u64 {
-            differential_case(seed, 4);
-        }
+        let with_locals = (0..600u64).filter(|&seed| differential_case(seed, 4)).count();
         // A handful of deep trees: long let chains and nested loops.
         for seed in [3u64, 17, 99, 256, 4095] {
             differential_case(seed, 6);
         }
+        with_locals
     });
     std::panic::set_hook(prev);
-    run.expect("differential property failed");
+    let with_locals = run.expect("differential property failed");
+    // Both frame shapes are exercised: UDFs that bind locals and UDFs that
+    // read only their arguments.
+    assert!((50..550).contains(&with_locals), "{with_locals} of 600 trees bind locals");
+}
+
+/// Hand-picked edge cases of the `f64` and by-reference paths, each checked
+/// against the interpreter through `eval1` and `eval2`: bit patterns of
+/// signed zeros and NaN, `Long` negation and division, and the text and
+/// order of type errors raised inside an unboxed `f64` chain.
+#[test]
+fn edge_operands_match_interpreter() {
+    let bodies = [
+        "-p",
+        "-(-p)",
+        "p / q",
+        "toDouble(p) * 0.5 + q * 0.5",
+        "p * 0.0 + q",
+        "-0.0 * p - q",
+        "toDouble(p) + toDouble(q)",
+        "(p + 0.5) * (q - 0.5)",
+        "toDouble(p.0) + q",
+        "p * (q.0 + 0.5)",
+        "p < q.0 * 1.0",
+        "if p > q then p / 2.0 else q - p",
+        "p == q",
+        "p < 1.5",
+        "let a = p * 2.0 in a + q",
+    ];
+    let values = [
+        Value::Long(i64::MIN),
+        Value::Long(7),
+        Value::Long(2),
+        Value::Long(0),
+        Value::Double(-0.0),
+        Value::Double(0.0),
+        Value::Double(f64::NAN),
+        Value::Double(-f64::INFINITY),
+        Value::str("s"),
+        Value::tuple(vec![Value::Long(1)]),
+    ];
+    for src in bodies {
+        let program =
+            matryoshka_ir::parse_program(&format!("fold(source(xs), 0, (p, q) => {src})"))
+                .unwrap_or_else(|e| panic!("{src}: {e}"));
+        let Expr::Fold(_, _, l2) = program.strip_spans() else { panic!("{src}: not a fold") };
+        let udf2 = CompiledUdf::new(&l2.body, &["p", "q"], HashMap::new(), false);
+        for p in &values {
+            for q in &values {
+                let env =
+                    HashMap::from([("p".to_string(), p.clone()), ("q".to_string(), q.clone())]);
+                let want = capture(|| eval_pure(&l2.body, &env));
+                let udf1 = CompiledUdf::new(
+                    &l2.body,
+                    &["p"],
+                    HashMap::from([("q".to_string(), q.clone())]),
+                    false,
+                );
+                assert_eq!(capture(|| udf2.eval2(p, q)), want, "{src} at p={p}, q={q}");
+                assert_eq!(capture(|| udf1.eval1(p)), want, "{src} at p={p}, q={q} (eval1)");
+            }
+        }
+    }
 }
 
 #[test]

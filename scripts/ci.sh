@@ -52,7 +52,7 @@ echo "== sanitizers (best effort: miri, then TSan, else skip)"
 # The container has no network, so missing toolchain components (miri,
 # rust-src for -Zbuild-std) cannot be installed on the fly; skip cleanly.
 # The filter covers the engine pool/fusion tests and the UDF compiler's
-# unit tests (thread-local frame reentrancy + take/replace discipline).
+# unit tests (thread-local locals buffer and its re-entrant fallback).
 if cargo miri --version >/dev/null 2>&1 \
   && cargo miri test -p matryoshka-engine --lib pool fuse 2>/dev/null \
   && cargo miri test -p matryoshka-ir --lib compile 2>/dev/null; then
@@ -143,7 +143,7 @@ wait "$SERVE_PID" || {
 }
 rm -f "$SERVE_LOG"
 
-echo "== matbench self-tests + 2 s service_mix run"
+echo "== matbench self-tests + 2 s service_mix and group_fixpoint runs"
 # The benchmark's own tests, then a short closed loop over the wire: every
 # reply must match its reference, so a service change that breaks a wire
 # reply fails here and not only in the benchmark.
@@ -157,6 +157,20 @@ MIX_OUT="$(cargo run -q --release --manifest-path matbench/Cargo.toml -- \
 tail -n 1 <<<"$MIX_OUT" | grep -q '"correct": true' || {
   echo "service_mix did not report \"correct\": true:" >&2
   echo "$MIX_OUT" >&2
+  exit 1
+}
+# The same for the compiled-UDF path: a short group_fixpoint run checks every
+# result of the per-group fixed-point loop, so an evaluator change that alters
+# a result fails here and not only in the benchmark.
+FIX_OUT="$(cargo run -q --release --manifest-path matbench/Cargo.toml -- \
+  --workload group_fixpoint --seed 1 --seconds 2 --trace 0)" || {
+  echo "group_fixpoint run failed:" >&2
+  echo "$FIX_OUT" >&2
+  exit 1
+}
+tail -n 1 <<<"$FIX_OUT" | grep -q '"correct": true' || {
+  echo "group_fixpoint did not report \"correct\": true:" >&2
+  echo "$FIX_OUT" >&2
   exit 1
 }
 
