@@ -27,7 +27,14 @@
 //!    are inlined as literals at compile time) fold to single constants,
 //!    guarded so that folding can never turn a lazily-avoided runtime error
 //!    or a debug-mode overflow panic into a compile-time one.
-//! 4. **Shape fast paths** — operators read constants, parameters and
+//! 4. **Pair-bound record parameters** — over a keyed bag, whose records
+//!    are native `(key, value)` pairs, the record parameter `kv` is bound to
+//!    two arguments ([`CompiledUdf::with_pair_param`], [`Record::Pair`]):
+//!    `kv.0` and `kv.1` read them in place, deeper paths walk from them, and
+//!    only a bare `kv` builds a tuple. A body that is a literal pair can
+//!    return its two components without a tuple
+//!    ([`CompiledUdf::eval_record_kv`]).
+//! 5. **Shape fast paths** — operators read constants, parameters and
 //!    projection chains off a parameter (`v.0.1`, walked with
 //!    [`crate::Value::proj_ref`]) by reference; statically `Long`/`Double`
 //!    arithmetic (typed via [`ScalarKind`], the type-checker's scalar
@@ -61,14 +68,39 @@ type PureEnv = HashMap<String, Value>;
 
 /// A pure scalar UDF, compiled once and evaluated per record.
 ///
-/// Construct with [`CompiledUdf::new`]; evaluate with [`CompiledUdf::eval1`]
-/// (one-parameter UDFs), [`CompiledUdf::eval2`] (combiners), or
-/// [`CompiledUdf::eval_with_combined`] (lifted `mapWithClosure` shapes where
-/// the closure values arrive as one combined tuple per tag).
+/// Construct with [`CompiledUdf::new`], or with
+/// [`CompiledUdf::with_pair_param`] for a UDF over keyed records; evaluate
+/// with [`CompiledUdf::eval1`] (one-parameter UDFs), [`CompiledUdf::eval2`]
+/// (combiners), [`CompiledUdf::eval_with_combined`] (lifted
+/// `mapWithClosure` shapes where the closure values arrive as one combined
+/// tuple per tag), or the [`Record`]-taking entry points.
 pub struct CompiledUdf {
-    /// Parameter names, in order (`params[i]` is [`Slot::Arg`]`(i)`).
+    /// Parameter names, in order.
     params: Vec<String>,
+    /// The parameter bound to a keyed record's key and value: it takes two
+    /// argument positions, and every later parameter shifts by one.
+    pair: Option<usize>,
     mode: Mode,
+}
+
+/// One record handed to a UDF's record parameter.
+#[derive(Debug, Clone, Copy)]
+pub enum Record<'v> {
+    /// A row: the record is one value.
+    Row(&'v Value),
+    /// A keyed record's key and value, for a UDF whose record parameter is
+    /// pair-bound ([`CompiledUdf::with_pair_param`]).
+    Pair(&'v Value, &'v Value),
+}
+
+impl<'v> Record<'v> {
+    /// Argument 0 and the pair's value ([`UNIT`] for a row).
+    fn args(self) -> (&'v Value, &'v Value) {
+        match self {
+            Record::Row(v) => (v, &UNIT),
+            Record::Pair(k, v) => (k, v),
+        }
+    }
 }
 
 enum Mode {
@@ -80,13 +112,26 @@ enum Mode {
     Interpreted { body: Arc<Expr>, captures: PureEnv },
 }
 
-/// Where a variable lives while a UDF runs.
+/// Where a variable lives while a UDF runs. Arguments are the caller's
+/// values, read in place and never copied.
 #[derive(Clone, Copy)]
 enum Slot {
-    /// Parameter `i`: the caller's value, read in place and never copied.
+    /// Argument `i`: 0 is the record (a pair-bound record's key), or the
+    /// first parameter; the other parameters follow in order.
     Arg(usize),
+    /// A pair-bound record's value.
+    Second,
     /// Local `i` of the frame: a `let` or `loop` binder.
     Local(usize),
+}
+
+/// What a name in scope stands for at compile time.
+#[derive(Clone, Copy)]
+enum Bind {
+    /// A variable in one slot.
+    Slot(Slot),
+    /// The pair-bound parameter: argument 0 and [`Slot::Second`].
+    Pair,
 }
 
 /// A compiled scalar operation.
@@ -144,9 +189,13 @@ struct Loop {
 /// The state of one call: the arguments, borrowed from the caller for the
 /// whole call, and the local slots.
 struct Frame<'v> {
-    /// Parameter 0.
+    /// Argument 0: the record (a pair-bound record's key), or the first
+    /// parameter.
     first: &'v Value,
-    /// Parameters `1..`: `eval2`'s second argument, or the components of the
+    /// A pair-bound record's value.
+    second: &'v Value,
+    /// Arguments `1..`: the parameters after the record — `eval2`'s second
+    /// argument, a fold step's accumulator, or the components of the
     /// combined closure tuple.
     rest: &'v [Value],
     /// `let`/`loop` binders. Slots are def-before-use by construction (a
@@ -155,8 +204,11 @@ struct Frame<'v> {
     locals: &'v mut [Value],
 }
 
+/// Filler for [`Frame::second`] when the record is not a pair.
+static UNIT: Value = Value::Unit;
+
 impl<'v> Frame<'v> {
-    /// Parameter `i`, borrowed for the whole call.
+    /// Argument `i`, borrowed for the whole call.
     fn arg(&self, i: usize) -> &'v Value {
         if i == 0 {
             self.first
@@ -168,8 +220,21 @@ impl<'v> Frame<'v> {
     fn get(&self, s: Slot) -> &Value {
         match s {
             Slot::Arg(i) => self.arg(i),
+            Slot::Second => self.second,
             Slot::Local(i) => &self.locals[i],
         }
+    }
+}
+
+/// The argument of parameter `i`, or `None` for the pair-bound parameter
+/// `pair`: the record parameter (`pair`, else parameter 0) is argument 0,
+/// and the others follow in order.
+fn param_arg(pair: Option<usize>, i: usize) -> Option<usize> {
+    let record = pair.unwrap_or(0);
+    match i.cmp(&record) {
+        std::cmp::Ordering::Equal => pair.is_none().then_some(0),
+        std::cmp::Ordering::Less => Some(i + 1),
+        std::cmp::Ordering::Greater => Some(i),
     }
 }
 
@@ -181,21 +246,37 @@ thread_local! {
 }
 
 /// Run `code` on the caller's arguments with `locals` local slots.
-fn call(code: &Op, locals: usize, first: &Value, rest: &[Value]) -> IrResult<Value> {
+fn call(
+    code: &Op,
+    locals: usize,
+    first: &Value,
+    second: &Value,
+    rest: &[Value],
+) -> IrResult<Value> {
     if locals == 0 {
-        return code.run(&mut Frame { first, rest, locals: &mut [] });
+        return code.run(&mut Frame { first, second, rest, locals: &mut [] });
     }
     LOCALS.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
             if buf.len() < locals {
                 buf.resize(locals, Value::Unit);
             }
-            code.run(&mut Frame { first, rest, locals: &mut buf })
+            code.run(&mut Frame { first, second, rest, locals: &mut buf })
         }
         // A re-entrant call: the buffer is in use further up this thread's
         // stack, so this call gets a fresh one instead of a panic.
-        Err(_) => code.run(&mut Frame { first, rest, locals: &mut vec![Value::Unit; locals] }),
+        Err(_) => {
+            code.run(&mut Frame { first, second, rest, locals: &mut vec![Value::Unit; locals] })
+        }
     })
+}
+
+/// A pair value as its two components.
+fn split_pair(v: Value) -> IrResult<(Value, Value)> {
+    match v {
+        Value::Tuple(items) if items.len() == 2 => Ok((items[0].clone(), items[1].clone())),
+        other => Err(IrError::Type(format!("expected a pair, got {other}"))),
+    }
 }
 
 /// Walk a projection path by reference.
@@ -213,24 +294,53 @@ impl CompiledUdf {
     /// the `udf_eval` ablation arm. Never fails: shapes the compiler cannot
     /// translate become ops that reproduce the interpreter's behaviour.
     pub fn new(body: &Arc<Expr>, params: &[&str], captures: PureEnv, interpret: bool) -> Self {
+        Self::build(body, params, None, captures, interpret)
+    }
+
+    /// [`CompiledUdf::new`] for a UDF over keyed records: parameter `pair`
+    /// is bound to a keyed record's key and value, passed as
+    /// [`Record::Pair`]. `kv.0` and `kv.1` read them in place, deeper paths
+    /// walk from them, and only a bare `kv` builds the tuple `(key, value)`,
+    /// so every result and error equals the interpreter's over that tuple.
+    pub fn with_pair_param(
+        body: &Arc<Expr>,
+        params: &[&str],
+        pair: usize,
+        captures: PureEnv,
+        interpret: bool,
+    ) -> Self {
+        debug_assert!(pair < params.len());
+        Self::build(body, params, Some(pair), captures, interpret)
+    }
+
+    fn build(
+        body: &Arc<Expr>,
+        params: &[&str],
+        pair: Option<usize>,
+        captures: PureEnv,
+        interpret: bool,
+    ) -> Self {
         let params_owned: Vec<String> = params.iter().map(|p| p.to_string()).collect();
         if interpret {
             return CompiledUdf {
                 params: params_owned,
+                pair,
                 mode: Mode::Interpreted { body: Arc::clone(body), captures },
             };
         }
-        let mut c = Compiler {
-            captures: &captures,
-            scope: params
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.to_string(), Slot::Arg(i), ScalarKind::Any))
-                .collect(),
-            next_local: 0,
-        };
+        let scope = (0..params.len())
+            .map(|i| match param_arg(pair, i) {
+                None => (params[i].to_string(), Bind::Pair, ScalarKind::Tuple),
+                Some(a) => (params[i].to_string(), Bind::Slot(Slot::Arg(a)), ScalarKind::Any),
+            })
+            .collect();
+        let mut c = Compiler { captures: &captures, scope, next_local: 0 };
         let (code, _) = c.compile(body);
-        CompiledUdf { params: params_owned, mode: Mode::Compiled { code, locals: c.next_local } }
+        CompiledUdf {
+            params: params_owned,
+            pair,
+            mode: Mode::Compiled { code, locals: c.next_local },
+        }
     }
 
     /// Number of parameters.
@@ -238,30 +348,28 @@ impl CompiledUdf {
         self.params.len()
     }
 
+    /// Evaluate a UDF without parameters (a fold's zero).
+    pub fn eval0(&self) -> IrResult<Value> {
+        debug_assert!(self.params.is_empty());
+        match &self.mode {
+            Mode::Compiled { code, locals } => call(code, *locals, &UNIT, &UNIT, &[]),
+            Mode::Interpreted { body, captures } => self.interpret(body, captures, &[], &[]),
+        }
+    }
+
     /// Evaluate a one-parameter UDF on one record.
     pub fn eval1(&self, v: &Value) -> IrResult<Value> {
-        debug_assert_eq!(self.params.len(), 1);
-        match &self.mode {
-            Mode::Compiled { code, locals } => call(code, *locals, v, &[]),
-            Mode::Interpreted { body, captures } => {
-                let mut env = captures.clone();
-                env.insert(self.params[0].clone(), v.clone());
-                eval_pure_mut(body, &mut env)
-            }
-        }
+        debug_assert!(self.params.len() == 1 && self.pair.is_none());
+        self.eval_record(Record::Row(v), None)
     }
 
     /// Evaluate a two-parameter UDF (a `reduceByKey`/`fold` combiner).
     pub fn eval2(&self, a: &Value, b: &Value) -> IrResult<Value> {
-        debug_assert_eq!(self.params.len(), 2);
+        debug_assert!(self.params.len() == 2 && self.pair.is_none());
+        let rest = std::slice::from_ref(b);
         match &self.mode {
-            Mode::Compiled { code, locals } => call(code, *locals, a, std::slice::from_ref(b)),
-            Mode::Interpreted { body, captures } => {
-                let mut env = captures.clone();
-                env.insert(self.params[0].clone(), a.clone());
-                env.insert(self.params[1].clone(), b.clone());
-                eval_pure_mut(body, &mut env)
-            }
+            Mode::Compiled { code, locals } => call(code, *locals, a, &UNIT, rest),
+            Mode::Interpreted { body, captures } => self.interpret(body, captures, &[a], rest),
         }
     }
 
@@ -269,33 +377,112 @@ impl CompiledUdf {
     /// `1..` receive the components of the per-tag `combined` closure tuple
     /// (the single tag-joined `mapWithClosure` argument of paper Sec. 5.1).
     pub fn eval_with_combined(&self, v: &Value, combined: &Value) -> IrResult<Value> {
-        debug_assert!(self.params.len() >= 2);
-        let n = self.params.len() - 1;
+        self.eval_record(Record::Row(v), Some(combined))
+    }
+
+    /// Evaluate a record UDF: parameter 0 is the record (a [`Record::Pair`]
+    /// exactly when it is pair-bound), and `combined`, when given, carries
+    /// parameters `1..` as in [`CompiledUdf::eval_with_combined`].
+    pub fn eval_record(&self, rec: Record<'_>, combined: Option<&Value>) -> IrResult<Value> {
+        let rest = self.closure_args(&rec, combined);
+        let (first, second) = rec.args();
         match &self.mode {
-            Mode::Compiled { code, locals } => {
-                let components = match combined {
-                    Value::Tuple(items) if items.len() >= n => items.as_slice(),
-                    // Not a tuple, or too short: the missing component's
-                    // projection error, as a panic.
-                    other => {
-                        other.proj_ref(n - 1).expect("combined closure arity");
-                        unreachable!("projection of a missing component succeeded")
-                    }
-                };
-                call(code, *locals, v, components)
-            }
+            Mode::Compiled { code, locals } => call(code, *locals, first, second, rest),
             Mode::Interpreted { body, captures } => {
-                let mut env = captures.clone();
-                for i in 1..self.params.len() {
-                    env.insert(
-                        self.params[i].clone(),
-                        combined.proj(i - 1).expect("combined closure arity"),
-                    );
-                }
-                env.insert(self.params[0].clone(), v.clone());
-                eval_pure_mut(body, &mut env)
+                self.interpret(body, captures, &[first, second], rest)
             }
         }
+    }
+
+    /// [`CompiledUdf::eval_record`] for a UDF whose value is a pair, returned
+    /// as its two components. A body that is a literal pair `(a, b)` computes
+    /// `a` and `b` without building the tuple; any other body's value is
+    /// split, and a value that is not a pair is an error.
+    pub fn eval_record_kv(
+        &self,
+        rec: Record<'_>,
+        combined: Option<&Value>,
+    ) -> IrResult<(Value, Value)> {
+        let rest = self.closure_args(&rec, combined);
+        let (first, second) = rec.args();
+        match &self.mode {
+            // The two items of a literal pair are separate expressions: each
+            // runs on its own frame, and no tuple is built.
+            Mode::Compiled { code: Op::Tuple(items), locals } if items.len() == 2 => Ok((
+                call(&items[0], *locals, first, second, rest)?,
+                call(&items[1], *locals, first, second, rest)?,
+            )),
+            Mode::Compiled { code, locals } => {
+                split_pair(call(code, *locals, first, second, rest)?)
+            }
+            Mode::Interpreted { body, captures } => {
+                split_pair(self.interpret(body, captures, &[first, second], rest)?)
+            }
+        }
+    }
+
+    /// Evaluate a fold step: parameter 0 is the accumulator, parameter 1 the
+    /// record (a [`Record::Pair`] exactly when it is pair-bound).
+    pub fn eval_fold(&self, acc: &Value, rec: Record<'_>) -> IrResult<Value> {
+        debug_assert_eq!(self.params.len(), 2);
+        debug_assert_eq!(matches!(rec, Record::Pair(..)), self.pair == Some(1));
+        match rec {
+            Record::Row(v) => self.eval2(acc, v),
+            // The pair-bound record is argument 0; the accumulator follows.
+            Record::Pair(k, v) => {
+                let rest = std::slice::from_ref(acc);
+                match &self.mode {
+                    Mode::Compiled { code, locals } => call(code, *locals, k, v, rest),
+                    Mode::Interpreted { body, captures } => {
+                        self.interpret(body, captures, &[k, v], rest)
+                    }
+                }
+            }
+        }
+    }
+
+    /// The parameters after a record UDF's record: the components of the
+    /// combined closure tuple, or none.
+    fn closure_args<'v>(&self, rec: &Record<'_>, combined: Option<&'v Value>) -> &'v [Value] {
+        debug_assert_eq!(matches!(rec, Record::Pair(..)), self.pair == Some(0));
+        let Some(combined) = combined else {
+            debug_assert_eq!(self.params.len(), 1);
+            return &[];
+        };
+        debug_assert!(self.params.len() >= 2);
+        let n = self.params.len() - 1;
+        match combined {
+            Value::Tuple(items) if items.len() >= n => items.as_slice(),
+            // Not a tuple, or too short: the missing component's projection
+            // error, as a panic.
+            other => {
+                other.proj_ref(n - 1).expect("combined closure arity");
+                unreachable!("projection of a missing component succeeded")
+            }
+        }
+    }
+
+    /// The interpreted path: bind every parameter in a fresh copy of the
+    /// captures and evaluate the body. `head` holds argument 0 and a
+    /// pair-bound record's value, `rest` arguments `1..`.
+    #[inline(never)]
+    fn interpret(
+        &self,
+        body: &Expr,
+        captures: &PureEnv,
+        head: &[&Value],
+        rest: &[Value],
+    ) -> IrResult<Value> {
+        let mut env = captures.clone();
+        for (i, name) in self.params.iter().enumerate() {
+            let v = match param_arg(self.pair, i) {
+                Some(0) => head[0].clone(),
+                Some(a) => rest[a - 1].clone(),
+                None => Value::tuple(vec![head[0].clone(), head[1].clone()]),
+            };
+            env.insert(name.clone(), v);
+        }
+        eval_pure_mut(body, &mut env)
     }
 
     /// Is this UDF actually compiled (vs. the interpreted ablation path)?
@@ -377,8 +564,10 @@ impl Op {
         Ok(match self {
             Op::Const(v) => Cow::Borrowed(v),
             Op::Slot(Slot::Arg(i)) => Cow::Borrowed(f.arg(*i)),
+            Op::Slot(Slot::Second) => Cow::Borrowed(f.second),
             Op::Slot(Slot::Local(i)) => Cow::Owned(f.locals[*i].clone()),
             Op::ProjPath(Slot::Arg(i), path) => Cow::Borrowed(walk(f.arg(*i), path)?),
+            Op::ProjPath(Slot::Second, path) => Cow::Borrowed(walk(f.second, path)?),
             _ => Cow::Owned(self.run(f)?),
         })
     }
@@ -420,6 +609,11 @@ impl Op {
             Op::Const(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// A constant or a variable: evaluating it cannot fail.
+    fn is_leaf(&self) -> bool {
+        matches!(self, Op::Const(_) | Op::Slot(_))
     }
 }
 
@@ -483,11 +677,11 @@ fn compare<'v>(op: BinOp, a: &'v Op, b: &'v Op, f: &mut Frame<'v>) -> IrResult<b
 }
 
 /// Compile-time state: the capture environment (inlined as constants) and
-/// the lexical scope mapping names to slots with their static kinds.
+/// the lexical scope mapping names to bindings with their static kinds.
 struct Compiler<'a> {
     captures: &'a PureEnv,
     /// Innermost binding last; resolved back-to-front.
-    scope: Vec<(String, Slot, ScalarKind)>,
+    scope: Vec<(String, Bind, ScalarKind)>,
     next_local: usize,
 }
 
@@ -524,7 +718,8 @@ fn try_fold(op: Op) -> Op {
     };
     if foldable {
         // Constant operands only: the frame is never read.
-        if let Ok(v) = op.run(&mut Frame { first: &Value::Unit, rest: &[], locals: &mut [] }) {
+        let frame = &mut Frame { first: &UNIT, second: &UNIT, rest: &[], locals: &mut [] };
+        if let Ok(v) = op.run(frame) {
             return Op::Const(v);
         }
     }
@@ -548,10 +743,18 @@ impl Compiler<'_> {
             Expr::Spanned(_, inner) => self.compile(inner),
             Expr::Const(v) => (Op::Const(v.clone()), ScalarKind::of_value(v)),
             Expr::Var(n) => {
-                if let Some((_, slot, kind)) =
+                if let Some((_, bind, kind)) =
                     self.scope.iter().rev().find(|(name, _, _)| name == n)
                 {
-                    return (Op::Slot(*slot), *kind);
+                    let op = match *bind {
+                        Bind::Slot(s) => Op::Slot(s),
+                        // A bare pair-bound parameter: the one place its
+                        // tuple is built.
+                        Bind::Pair => {
+                            Op::Tuple(vec![Op::Slot(Slot::Arg(0)), Op::Slot(Slot::Second)])
+                        }
+                    };
+                    return (op, *kind);
                 }
                 match self.captures.get(n) {
                     Some(v) => (Op::Const(v.clone()), ScalarKind::of_value(v)),
@@ -566,6 +769,11 @@ impl Compiler<'_> {
             Expr::Proj(x, i) => {
                 let (xo, _) = self.compile(x);
                 let op = match xo {
+                    // A component of a tuple of leaves (`kv.0` of a
+                    // pair-bound `kv`) is that leaf: no tuple is built.
+                    Op::Tuple(items) if *i < items.len() && items.iter().all(Op::is_leaf) => {
+                        items.into_iter().nth(*i).expect("index checked")
+                    }
                     Op::Slot(s) => Op::ProjPath(s, Box::new([*i])),
                     Op::ProjPath(s, path) => {
                         let mut p = path.into_vec();
@@ -622,7 +830,7 @@ impl Compiler<'_> {
             Expr::Let(n, v, b) => {
                 let (vo, vk) = self.compile(v);
                 let slot = self.fresh_local();
-                self.scope.push((n.clone(), Slot::Local(slot), vk));
+                self.scope.push((n.clone(), Bind::Slot(Slot::Local(slot)), vk));
                 let (bo, bk) = self.compile(b);
                 self.scope.pop();
                 // A fully-folded body with a constant (side-effect-free)
@@ -666,7 +874,7 @@ impl Compiler<'_> {
                         let (xo, xk) = self.compile(x);
                         let slot = self.fresh_local();
                         let k = kinds.as_ref().map_or(xk, |ks| ks[idx].join(xk));
-                        self.scope.push((n.clone(), Slot::Local(slot), k));
+                        self.scope.push((n.clone(), Bind::Slot(Slot::Local(slot)), k));
                         init_ops.push((slot, xo));
                         assigned.push(k);
                     }

@@ -10,6 +10,14 @@
 //! scalars become tag-joined bags (Sec. 4.3), bags become tagged flat bags
 //! (Sec. 4.4), loops become the lifted do-while (Sec. 6.2), closures become
 //! tag joins or half-lifted cross products (Sec. 5, 8.3).
+//!
+//! In both modes a bag is either *rows* (one `Value` per record) or *keyed*:
+//! native `(key, value)` pairs, as the engine's keyed operators and the
+//! paper's `(tag, key)` re-keying take them. A map whose body is a literal
+//! pair produces a keyed bag, keyed operators consume and produce keyed bags,
+//! and UDFs over keyed bags bind their record parameter to the pair. Records
+//! convert only where the other shape is needed (docs/ANALYSIS.md, "Keyed
+//! records in the lowering").
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -18,10 +26,10 @@ use matryoshka_core::{
     group_by_key_into_nested_bag, lifted_while, InnerBag, InnerScalar, LiftedData, LiftingContext,
     MatryoshkaConfig, NestedBag,
 };
-use matryoshka_engine::{Bag, Engine, EngineError};
+use matryoshka_engine::{Bag, Data, Engine, EngineError};
 
 use crate::ast::{BinOp, Expr, Lambda, Lambda2, UnOp};
-use crate::compile::CompiledUdf;
+use crate::compile::{CompiledUdf, Record};
 use crate::error::{IrError, IrResult};
 use crate::value::Value;
 
@@ -46,15 +54,320 @@ impl std::fmt::Debug for RtVal {
     }
 }
 
+/// A driver-mode value inside the lowering: an [`RtVal`] whose flat bags
+/// may be keyed.
+#[derive(Clone)]
+enum DVal {
+    Scalar(Value),
+    Bag(DBag),
+    Nested(NestedBag<Value, Value, Value>),
+}
+
+impl From<DVal> for RtVal {
+    fn from(v: DVal) -> RtVal {
+        match v {
+            DVal::Scalar(x) => RtVal::Scalar(x),
+            DVal::Bag(b) => RtVal::Bag(b.rows()),
+            DVal::Nested(nb) => RtVal::Nested(nb),
+        }
+    }
+}
+
+/// A flat bag in driver mode.
+#[derive(Clone)]
+enum DBag {
+    Rows(Bag<Value>),
+    Keyed(Bag<(Value, Value)>),
+}
+
+/// An inner bag in lifted mode.
+#[derive(Clone)]
+enum LBag {
+    Rows(InnerBag<Value, Value>),
+    Keyed(InnerBag<Value, (Value, Value)>),
+}
+
 /// A runtime value in lifted mode.
 #[derive(Clone)]
 enum LVal {
     Scalar(InnerScalar<Value, Value>),
-    Bag(InnerBag<Value, Value>),
+    Bag(LBag),
     /// The `(outer, inner)` parameter of a lifted UDF over a NestedBag.
     Pair(Box<LVal>, Box<LVal>),
     /// A closure from the driver environment, not yet lifted.
-    Driver(RtVal),
+    Driver(DVal),
+}
+
+/// A row as a keyed record, where rows meet a keyed operator.
+fn split_row(v: &Value) -> (Value, Value) {
+    let k = v.proj(0).expect("pair-shaped record expected (parsing phase admits (k, v) bags)");
+    let w = v.proj(1).expect("pair-shaped record");
+    (k, w)
+}
+
+/// A keyed record as a row, where a row is needed.
+fn pair_row((k, v): &(Value, Value)) -> Value {
+    Value::tuple(vec![k.clone(), v.clone()])
+}
+
+/// A join's output record: the key, and the two values as one tuple.
+fn join_pair((k, (v, w)): &(Value, (Value, Value))) -> (Value, Value) {
+    (k.clone(), Value::tuple(vec![v.clone(), w.clone()]))
+}
+
+impl DBag {
+    fn is_keyed(&self) -> bool {
+        matches!(self, DBag::Keyed(_))
+    }
+
+    fn rows(&self) -> Bag<Value> {
+        match self {
+            DBag::Rows(b) => b.clone(),
+            DBag::Keyed(b) => b.map(pair_row),
+        }
+    }
+
+    fn pairs(&self) -> Bag<(Value, Value)> {
+        match self {
+            DBag::Rows(b) => b.map(split_row),
+            DBag::Keyed(b) => b.clone(),
+        }
+    }
+
+    fn map_records<U: Data>(&self, f: impl Fn(Record<'_>) -> U + Send + Sync + 'static) -> Bag<U> {
+        match self {
+            DBag::Rows(b) => b.map(move |v| f(Record::Row(v))),
+            DBag::Keyed(b) => b.map(move |(k, v)| f(Record::Pair(k, v))),
+        }
+    }
+
+    fn filter_records(&self, f: impl Fn(Record<'_>) -> bool + Send + Sync + 'static) -> DBag {
+        match self {
+            DBag::Rows(b) => DBag::Rows(b.filter(move |v| f(Record::Row(v)))),
+            DBag::Keyed(b) => DBag::Keyed(b.filter(move |(k, v)| f(Record::Pair(k, v)))),
+        }
+    }
+
+    fn flat_map_records(
+        &self,
+        f: impl Fn(Record<'_>) -> Vec<Value> + Send + Sync + 'static,
+    ) -> Bag<Value> {
+        match self {
+            DBag::Rows(b) => b.flat_map(move |v| f(Record::Row(v))),
+            DBag::Keyed(b) => b.flat_map(move |(k, v)| f(Record::Pair(k, v))),
+        }
+    }
+
+    fn fold_records(
+        &self,
+        zero: Value,
+        f: impl Fn(&Value, Record<'_>) -> Value,
+    ) -> Result<Value, EngineError> {
+        match self {
+            DBag::Rows(b) => b.fold(zero, |acc, v| f(&acc, Record::Row(v))),
+            DBag::Keyed(b) => b.fold(zero, |acc, (k, v)| f(&acc, Record::Pair(k, v))),
+        }
+    }
+
+    /// A half-lifted cross product (Sec. 5.2/8.3) of lifted closure values
+    /// with this bag.
+    fn cross_records<U: Data>(
+        &self,
+        closure: &InnerScalar<Value, Value>,
+        f: impl Fn(Record<'_>, &Value) -> U + Send + Sync + 'static,
+    ) -> Result<InnerBag<Value, U>, EngineError> {
+        match self {
+            DBag::Rows(b) => closure.cross_with_bag(b, move |_t, c, v| Some(f(Record::Row(v), c))),
+            DBag::Keyed(b) => {
+                closure.cross_with_bag(b, move |_t, c, (k, v)| Some(f(Record::Pair(k, v), c)))
+            }
+        }
+    }
+
+    fn union(&self, other: &DBag) -> DBag {
+        match (self, other) {
+            (DBag::Keyed(a), DBag::Keyed(b)) => DBag::Keyed(a.union(b)),
+            (a, b) => DBag::Rows(a.rows().union(&b.rows())),
+        }
+    }
+
+    fn distinct(&self) -> DBag {
+        match self {
+            DBag::Rows(b) => DBag::Rows(b.distinct()),
+            DBag::Keyed(b) => DBag::Keyed(b.distinct()),
+        }
+    }
+
+    fn count(&self) -> Result<u64, EngineError> {
+        match self {
+            DBag::Rows(b) => b.count(),
+            DBag::Keyed(b) => b.count(),
+        }
+    }
+
+    fn cache(&self) -> DBag {
+        match self {
+            DBag::Rows(b) => DBag::Rows(b.cache()),
+            DBag::Keyed(b) => DBag::Keyed(b.cache()),
+        }
+    }
+}
+
+impl LBag {
+    fn is_keyed(&self) -> bool {
+        matches!(self, LBag::Keyed(_))
+    }
+
+    fn rows(&self) -> InnerBag<Value, Value> {
+        match self {
+            LBag::Rows(b) => b.clone(),
+            LBag::Keyed(b) => b.map(pair_row),
+        }
+    }
+
+    fn pairs(&self) -> InnerBag<Value, (Value, Value)> {
+        match self {
+            LBag::Rows(b) => b.map(split_row),
+            LBag::Keyed(b) => b.clone(),
+        }
+    }
+
+    fn map_records<U: Data>(
+        &self,
+        f: impl Fn(Record<'_>) -> U + Send + Sync + 'static,
+    ) -> InnerBag<Value, U> {
+        match self {
+            LBag::Rows(b) => b.map(move |v| f(Record::Row(v))),
+            LBag::Keyed(b) => b.map(move |(k, v)| f(Record::Pair(k, v))),
+        }
+    }
+
+    /// `mapWithClosure` (Sec. 5.1): a tag join with the lifted closure values.
+    fn map_records_with_scalar<U: Data>(
+        &self,
+        closure: &InnerScalar<Value, Value>,
+        f: impl Fn(Record<'_>, &Value) -> U + Send + Sync + 'static,
+    ) -> InnerBag<Value, U> {
+        match self {
+            LBag::Rows(b) => b.map_with_scalar(closure, move |v, c| f(Record::Row(v), c)),
+            LBag::Keyed(b) => b.map_with_scalar(closure, move |(k, v), c| f(Record::Pair(k, v), c)),
+        }
+    }
+
+    fn filter_records(&self, f: impl Fn(Record<'_>) -> bool + Send + Sync + 'static) -> LBag {
+        match self {
+            LBag::Rows(b) => LBag::Rows(b.filter(move |v| f(Record::Row(v)))),
+            LBag::Keyed(b) => LBag::Keyed(b.filter(move |(k, v)| f(Record::Pair(k, v)))),
+        }
+    }
+
+    fn filter_records_with_scalar(
+        &self,
+        closure: &InnerScalar<Value, Value>,
+        f: impl Fn(Record<'_>, &Value) -> bool + Send + Sync + 'static,
+    ) -> LBag {
+        match self {
+            LBag::Rows(b) => {
+                LBag::Rows(b.filter_with_scalar(closure, move |v, c| f(Record::Row(v), c)))
+            }
+            LBag::Keyed(b) => LBag::Keyed(
+                b.filter_with_scalar(closure, move |(k, v), c| f(Record::Pair(k, v), c)),
+            ),
+        }
+    }
+
+    fn flat_map_records(
+        &self,
+        f: impl Fn(Record<'_>) -> Vec<Value> + Send + Sync + 'static,
+    ) -> InnerBag<Value, Value> {
+        match self {
+            LBag::Rows(b) => b.flat_map(move |v| f(Record::Row(v))),
+            LBag::Keyed(b) => b.flat_map(move |(k, v)| f(Record::Pair(k, v))),
+        }
+    }
+
+    fn fold_records(
+        &self,
+        zero: Value,
+        step: impl Fn(&Value, Record<'_>) -> Value + Send + Sync + 'static,
+        combine: impl Fn(&Value, &Value) -> Value + Send + Sync + 'static,
+    ) -> InnerScalar<Value, Value> {
+        match self {
+            LBag::Rows(b) => b.fold(zero, move |a, v| step(a, Record::Row(v)), combine),
+            LBag::Keyed(b) => b.fold(zero, move |a, (k, v)| step(a, Record::Pair(k, v)), combine),
+        }
+    }
+
+    fn union(&self, other: &LBag) -> LBag {
+        match (self, other) {
+            (LBag::Keyed(a), LBag::Keyed(b)) => LBag::Keyed(a.union(b)),
+            (a, b) => LBag::Rows(a.rows().union(&b.rows())),
+        }
+    }
+
+    fn distinct(&self) -> LBag {
+        match self {
+            LBag::Rows(b) => LBag::Rows(b.distinct()),
+            LBag::Keyed(b) => LBag::Keyed(b.distinct()),
+        }
+    }
+
+    fn count(&self) -> InnerScalar<Value, u64> {
+        match self {
+            LBag::Rows(b) => b.count(),
+            LBag::Keyed(b) => b.count(),
+        }
+    }
+
+    /// Cache the tagged representation bag.
+    fn cache(&self) -> LBag {
+        match self {
+            LBag::Rows(b) => LBag::Rows(InnerBag::from_repr(b.repr().cache(), b.ctx().clone())),
+            LBag::Keyed(b) => LBag::Keyed(InnerBag::from_repr(b.repr().cache(), b.ctx().clone())),
+        }
+    }
+}
+
+/// What a map UDF emits per record: a row, or — when its body is a literal
+/// pair — a keyed record, computed without building the tuple.
+trait Emit: Data {
+    fn eval(f: &CompiledUdf, rec: Record<'_>, combined: Option<&Value>) -> IrResult<Self>;
+    fn driver(b: Bag<Self>) -> DBag;
+    fn inner(b: InnerBag<Value, Self>) -> LBag;
+}
+
+impl Emit for Value {
+    fn eval(f: &CompiledUdf, rec: Record<'_>, combined: Option<&Value>) -> IrResult<Value> {
+        f.eval_record(rec, combined)
+    }
+    fn driver(b: Bag<Value>) -> DBag {
+        DBag::Rows(b)
+    }
+    fn inner(b: InnerBag<Value, Value>) -> LBag {
+        LBag::Rows(b)
+    }
+}
+
+impl Emit for (Value, Value) {
+    fn eval(f: &CompiledUdf, rec: Record<'_>, combined: Option<&Value>) -> IrResult<Self> {
+        f.eval_record_kv(rec, combined)
+    }
+    fn driver(b: Bag<Self>) -> DBag {
+        DBag::Keyed(b)
+    }
+    fn inner(b: InnerBag<Value, Self>) -> LBag {
+        LBag::Keyed(b)
+    }
+}
+
+/// Does a map with this body emit keyed records? Only a literal pair does.
+fn emits_pairs(body: &Expr) -> bool {
+    matches!(body.unspanned(), Expr::Tuple(items) if items.len() == 2)
+}
+
+/// A map over a driver bag, emitting `O` records.
+fn map_driver<O: Emit>(bag: &DBag, f: Arc<CompiledUdf>, what: &'static str) -> DBag {
+    O::driver(bag.map_records(move |r| O::eval(&f, r, None).expect(what)))
 }
 
 /// Executes parsed programs on an engine.
@@ -75,7 +388,7 @@ struct CachedCaptures {
     names: Arc<Vec<String>>,
 }
 
-type Env = HashMap<String, RtVal>;
+type Env = HashMap<String, DVal>;
 type LEnv = HashMap<String, LVal>;
 type PureEnv = HashMap<String, Value>;
 
@@ -220,19 +533,6 @@ pub fn apply_un(op: UnOp, a: &Value) -> IrResult<Value> {
     })
 }
 
-/// Split a bag of 2-tuples into engine `(key, value)` pairs.
-fn pairize(bag: &Bag<Value>) -> Bag<(Value, Value)> {
-    bag.map(|v| {
-        let k = v.proj(0).expect("pair-shaped record expected (parsing phase admits (k, v) bags)");
-        let w = v.proj(1).expect("pair-shaped record");
-        (k, w)
-    })
-}
-
-fn unpairize(bag: &Bag<(Value, Value)>) -> Bag<Value> {
-    bag.map(|(k, v)| Value::tuple(vec![k.clone(), v.clone()]))
-}
-
 /// Resolve capture names against the lifted environment: every name must be
 /// a plain scalar (goes into the pure env) or a lifted scalar (returned
 /// separately for the tag join).
@@ -245,7 +545,7 @@ fn resolve_lifted_captures(
     for name in names {
         match lenv.get(name) {
             Some(LVal::Scalar(s)) => lifted.push((name.clone(), s.clone())),
-            Some(LVal::Driver(RtVal::Scalar(v))) => {
+            Some(LVal::Driver(DVal::Scalar(v))) => {
                 pure.insert(name.clone(), v.clone());
             }
             Some(other) => {
@@ -271,7 +571,7 @@ fn resolve_driver_captures(names: &[String], env: &Env) -> IrResult<PureEnv> {
     let mut pure = PureEnv::new();
     for name in names {
         match env.get(name) {
-            Some(RtVal::Scalar(v)) => {
+            Some(DVal::Scalar(v)) => {
                 pure.insert(name.clone(), v.clone());
             }
             Some(_) => {
@@ -317,10 +617,31 @@ fn to_engine_err(e: IrError) -> EngineError {
 #[derive(Clone)]
 struct LState(Vec<LStateItem>);
 
+/// One lifted loop variable. Loop-carried bags are rows, so a variable's
+/// shape is the same in every iteration.
 #[derive(Clone)]
 enum LStateItem {
     S(InnerScalar<Value, Value>),
     B(InnerBag<Value, Value>),
+}
+
+impl LStateItem {
+    /// A loop variable's value, or `None` for a value a loop cannot carry.
+    fn of(v: LVal, ctx: &LiftingContext<Value>) -> Option<LStateItem> {
+        match v {
+            LVal::Scalar(s) => Some(LStateItem::S(s)),
+            LVal::Bag(b) => Some(LStateItem::B(b.rows())),
+            LVal::Driver(DVal::Scalar(x)) => Some(LStateItem::S(ctx.constant(x))),
+            _ => None,
+        }
+    }
+
+    fn to_lval(&self) -> LVal {
+        match self {
+            LStateItem::S(s) => LVal::Scalar(s.clone()),
+            LStateItem::B(b) => LVal::Bag(LBag::Rows(b.clone())),
+        }
+    }
 }
 
 impl LiftedData<Value> for LState {
@@ -431,36 +752,54 @@ impl Lowering {
     }
 
     /// Compile a UDF body once per lowering site for per-record evaluation;
-    /// `MatryoshkaConfig::interpret_udfs` forces the interpreted path (the
-    /// `udf_eval` ablation arm).
+    /// `params[i]` is pair-bound when `pair` is `Some(i)` (a record of a
+    /// keyed bag). `MatryoshkaConfig::interpret_udfs` forces the interpreted
+    /// path (the `udf_eval` ablation arm).
     fn compile_udf(
         &self,
         body: &Arc<Expr>,
         params: &[&str],
+        pair: Option<usize>,
         captures: PureEnv,
     ) -> Arc<CompiledUdf> {
-        Arc::new(CompiledUdf::new(body, params, captures, self.config.interpret_udfs))
+        let interpret = self.config.interpret_udfs;
+        Arc::new(match pair {
+            Some(i) => CompiledUdf::with_pair_param(body, params, i, captures, interpret),
+            None => CompiledUdf::new(body, params, captures, interpret),
+        })
+    }
+
+    /// Compile a record UDF (map, filter, flatMap) over a `keyed` or row bag.
+    fn compile_record(&self, udf: &Lambda, keyed: bool, captures: PureEnv) -> Arc<CompiledUdf> {
+        self.compile_udf(&udf.body, &[&udf.param], keyed.then_some(0), captures)
     }
 
     /// Compile a two-parameter combiner (reduceByKey/fold; captures are
     /// empty — aggregation UDFs close over nothing, validated at parse).
     fn compile_udf2(&self, l2: &Lambda2) -> Arc<CompiledUdf> {
-        self.compile_udf(&l2.body, &[&l2.a, &l2.b], PureEnv::new())
+        self.compile_udf(&l2.body, &[&l2.a, &l2.b], None, PureEnv::new())
+    }
+
+    /// Compile a fold step `(acc, record) => ..` over a `keyed` or row bag.
+    fn compile_fold_step(&self, l2: &Lambda2, keyed: bool) -> Arc<CompiledUdf> {
+        self.compile_udf(&l2.body, &[&l2.a, &l2.b], keyed.then_some(1), PureEnv::new())
     }
 
     /// Compile a lifted-closure UDF: parameter 0 is the lambda's own
-    /// parameter, parameters 1.. are the lifted capture names, delivered per
-    /// record as one combined tuple ([`CompiledUdf::eval_with_combined`]).
+    /// parameter (pair-bound over a `keyed` bag), parameters 1.. are the
+    /// lifted capture names, delivered per record as one combined tuple
+    /// ([`CompiledUdf::eval_record`]).
     fn compile_combined(
         &self,
         udf: &Lambda,
         lifted: &[(String, InnerScalar<Value, Value>)],
+        keyed: bool,
         pure: PureEnv,
     ) -> Arc<CompiledUdf> {
         let mut params: Vec<&str> = Vec::with_capacity(1 + lifted.len());
         params.push(&udf.param);
         params.extend(lifted.iter().map(|(n, _)| n.as_str()));
-        self.compile_udf(&udf.body, &params, pure)
+        self.compile_udf(&udf.body, &params, keyed.then_some(0), pure)
     }
 
     /// Execute a parsed program. `inputs` binds the program's `Source`
@@ -476,38 +815,38 @@ impl Lowering {
             for r in &rewritten.rewrites {
                 self.engine.record_decision("plan_rewrite", r.code, 0, 0, r.to_string());
             }
-            return self.eval(&rewritten.expr, &Env::new(), inputs);
+            return self.eval(&rewritten.expr, &Env::new(), inputs).map(RtVal::from);
         }
-        self.eval(program, &Env::new(), inputs)
+        self.eval(program, &Env::new(), inputs).map(RtVal::from)
     }
 
-    fn eval(&self, e: &Expr, env: &Env, inputs: &HashMap<String, Bag<Value>>) -> IrResult<RtVal> {
+    fn eval(&self, e: &Expr, env: &Env, inputs: &HashMap<String, Bag<Value>>) -> IrResult<DVal> {
         Ok(match e {
             Expr::Spanned(_, inner) => self.eval(inner, env, inputs)?,
-            Expr::Const(v) => RtVal::Scalar(v.clone()),
+            Expr::Const(v) => DVal::Scalar(v.clone()),
             Expr::Var(n) => env.get(n).cloned().ok_or_else(|| IrError::Unbound(n.clone()))?,
-            Expr::Source(n) => RtVal::Bag(
+            Expr::Source(n) => DVal::Bag(DBag::Rows(
                 inputs.get(n).cloned().ok_or_else(|| IrError::Unbound(format!("source {n}")))?,
-            ),
+            )),
             Expr::Tuple(items) => {
                 let vals: Vec<Value> = items
                     .iter()
                     .map(|x| match self.eval(x, env, inputs)? {
-                        RtVal::Scalar(v) => Ok(v),
+                        DVal::Scalar(v) => Ok(v),
                         _ => Err(IrError::Unsupported("bag inside tuple".into())),
                     })
                     .collect::<IrResult<_>>()?;
-                RtVal::Scalar(Value::tuple(vals))
+                DVal::Scalar(Value::tuple(vals))
             }
             Expr::Proj(x, i) => match self.eval(x, env, inputs)? {
-                RtVal::Scalar(v) => RtVal::Scalar(v.proj(*i)?),
+                DVal::Scalar(v) => DVal::Scalar(v.proj(*i)?),
                 _ => return Err(IrError::Type("projection on a bag".into())),
             },
             Expr::Bin(op, a, b) => {
                 let (a, b) = (self.scalar(a, env, inputs)?, self.scalar(b, env, inputs)?);
-                RtVal::Scalar(apply_bin(*op, &a, &b)?)
+                DVal::Scalar(apply_bin(*op, &a, &b)?)
             }
-            Expr::Un(op, a) => RtVal::Scalar(apply_un(*op, &self.scalar(a, env, inputs)?)?),
+            Expr::Un(op, a) => DVal::Scalar(apply_un(*op, &self.scalar(a, env, inputs)?)?),
             Expr::Let(n, v, b) => {
                 let rv = self.eval(v, env, inputs)?;
                 let mut env2 = env.clone();
@@ -529,7 +868,7 @@ impl Lowering {
                     env2.insert(n.clone(), v);
                 }
                 while self.scalar(cond, &env2, inputs)?.as_bool()? {
-                    let next: Vec<RtVal> = step
+                    let next: Vec<DVal> = step
                         .iter()
                         .map(|x| self.eval(x, &env2, inputs))
                         .collect::<IrResult<_>>()?;
@@ -542,19 +881,20 @@ impl Lowering {
             Expr::Map(input, udf) => {
                 let bag = self.bag(input, env, inputs)?;
                 let pure = self.driver_captures(&udf.body, &[&udf.param], env)?;
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                RtVal::Bag(
-                    bag.map(move |v| {
-                        f.eval1(v).expect("scalar UDF evaluation (validated at parse)")
-                    }),
-                )
+                let f = self.compile_record(udf, bag.is_keyed(), pure);
+                let what = "scalar UDF evaluation (validated at parse)";
+                DVal::Bag(if emits_pairs(&udf.body) {
+                    map_driver::<(Value, Value)>(&bag, f, what)
+                } else {
+                    map_driver::<Value>(&bag, f, what)
+                })
             }
             Expr::Filter(input, udf) => {
                 let bag = self.bag(input, env, inputs)?;
                 let pure = self.driver_captures(&udf.body, &[&udf.param], env)?;
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                RtVal::Bag(bag.filter(move |v| {
-                    f.eval1(v)
+                let f = self.compile_record(udf, bag.is_keyed(), pure);
+                DVal::Bag(bag.filter_records(move |r| {
+                    f.eval_record(r, None)
                         .and_then(|v| v.as_bool())
                         .expect("boolean filter UDF (validated at parse)")
                 }))
@@ -562,8 +902,10 @@ impl Lowering {
             Expr::FlatMapTuple(input, udf) => {
                 let bag = self.bag(input, env, inputs)?;
                 let pure = self.driver_captures(&udf.body, &[&udf.param], env)?;
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                RtVal::Bag(bag.flat_map(move |v| f.eval1(v).expect("scalar UDF").splat_tuple()))
+                let f = self.compile_record(udf, bag.is_keyed(), pure);
+                DVal::Bag(DBag::Rows(bag.flat_map_records(move |r| {
+                    f.eval_record(r, None).expect("scalar UDF").splat_tuple()
+                })))
             }
             Expr::GroupByKey(_) => {
                 return Err(IrError::Unsupported(
@@ -574,40 +916,38 @@ impl Lowering {
             }
             Expr::GroupByKeyIntoNestedBag(x) => {
                 let bag = self.bag(x, env, inputs)?;
-                RtVal::Nested(group_by_key_into_nested_bag(
+                DVal::Nested(group_by_key_into_nested_bag(
                     &self.engine,
-                    &pairize(&bag),
+                    &bag.pairs(),
                     self.config.clone(),
                 )?)
             }
             Expr::ReduceByKey(x, l2) => {
                 let bag = self.bag(x, env, inputs)?;
                 let f = self.compile_udf2(l2);
-                RtVal::Bag(unpairize(&pairize(&bag).reduce_by_key(move |a, b| {
+                DVal::Bag(DBag::Keyed(bag.pairs().reduce_by_key(move |a, b| {
                     f.eval2(a, b).expect("scalar aggregation UDF (validated at parse)")
                 })))
             }
             Expr::Join(a, b) => {
                 let (a, b) = (self.bag(a, env, inputs)?, self.bag(b, env, inputs)?);
-                RtVal::Bag(pairize(&a).join(&pairize(&b)).map(|(k, (v, w))| {
-                    Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
-                }))
+                DVal::Bag(DBag::Keyed(a.pairs().join(&b.pairs()).map(join_pair)))
             }
             Expr::Union(a, b) => {
-                RtVal::Bag(self.bag(a, env, inputs)?.union(&self.bag(b, env, inputs)?))
+                DVal::Bag(self.bag(a, env, inputs)?.union(&self.bag(b, env, inputs)?))
             }
-            Expr::Distinct(x) => RtVal::Bag(self.bag(x, env, inputs)?.distinct()),
+            Expr::Distinct(x) => DVal::Bag(self.bag(x, env, inputs)?.distinct()),
             Expr::Count(x) => match self.eval(x, env, inputs)? {
-                RtVal::Bag(b) => RtVal::Scalar(Value::Long(b.count()? as i64)),
-                RtVal::Nested(nb) => RtVal::Scalar(Value::Long(nb.ctx().size() as i64)),
-                RtVal::Scalar(_) => return Err(IrError::Type("count of a scalar".into())),
+                DVal::Bag(b) => DVal::Scalar(Value::Long(b.count()? as i64)),
+                DVal::Nested(nb) => DVal::Scalar(Value::Long(nb.ctx().size() as i64)),
+                DVal::Scalar(_) => return Err(IrError::Type("count of a scalar".into())),
             },
             Expr::Fold(x, zero, l2) => {
                 let bag = self.bag(x, env, inputs)?;
                 let z = self.scalar(zero, env, inputs)?;
-                let f = self.compile_udf2(l2);
-                RtVal::Scalar(bag.fold(z, move |acc, v| {
-                    f.eval2(&acc, v).expect("scalar aggregation UDF (validated at parse)")
+                let f = self.compile_fold_step(l2, bag.is_keyed());
+                DVal::Scalar(bag.fold_records(z, move |acc, r| {
+                    f.eval_fold(acc, r).expect("scalar aggregation UDF (validated at parse)")
                 })?)
             }
             Expr::MapWithLiftedUdf { input, udf, closures } => {
@@ -618,7 +958,7 @@ impl Lowering {
             // memoized partitions every consumer shares, and a fusion
             // barrier so narrow chains cannot recompute the parent.
             Expr::Cache(x) => match self.eval(x, env, inputs)? {
-                RtVal::Bag(b) => RtVal::Bag(b.cache()),
+                DVal::Bag(b) => DVal::Bag(b.cache()),
                 other => other,
             },
         })
@@ -626,19 +966,14 @@ impl Lowering {
 
     fn scalar(&self, e: &Expr, env: &Env, inputs: &HashMap<String, Bag<Value>>) -> IrResult<Value> {
         match self.eval(e, env, inputs)? {
-            RtVal::Scalar(v) => Ok(v),
+            DVal::Scalar(v) => Ok(v),
             _ => Err(IrError::Type("expected a scalar".into())),
         }
     }
 
-    fn bag(
-        &self,
-        e: &Expr,
-        env: &Env,
-        inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<Bag<Value>> {
+    fn bag(&self, e: &Expr, env: &Env, inputs: &HashMap<String, Bag<Value>>) -> IrResult<DBag> {
         match self.eval(e, env, inputs)? {
-            RtVal::Bag(b) => Ok(b),
+            DVal::Bag(b) => Ok(b),
             _ => Err(IrError::Type("expected a flat bag".into())),
         }
     }
@@ -651,25 +986,28 @@ impl Lowering {
         closures: &[String],
         env: &Env,
         inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<RtVal> {
+    ) -> IrResult<DVal> {
         let (ctx, param_val) = match self.eval(input, env, inputs)? {
-            RtVal::Nested(nb) => {
+            DVal::Nested(nb) => {
                 let ctx = nb.ctx().clone();
                 let pv = LVal::Pair(
                     Box::new(LVal::Scalar(nb.outer().clone())),
-                    Box::new(LVal::Bag(nb.inner().clone())),
+                    Box::new(LVal::Bag(LBag::Rows(nb.inner().clone()))),
                 );
                 (ctx, pv)
             }
-            RtVal::Bag(b) => {
-                // Non-nested input: tags via zipWithUniqueId (Sec. 4.3).
-                let tagged =
-                    b.zip_with_unique_id().map(|(v, id)| (Value::Long(*id as i64), v.clone()));
+            DVal::Bag(b) => {
+                // Non-nested input: tags via zipWithUniqueId (Sec. 4.3). The
+                // record is a lifted scalar, so it is a row.
+                let tagged = b
+                    .rows()
+                    .zip_with_unique_id()
+                    .map(|(v, id)| (Value::Long(*id as i64), v.clone()));
                 let tags = tagged.map(|(t, _)| t.clone());
                 let ctx = LiftingContext::counted(self.engine.clone(), tags, self.config.clone())?;
                 (ctx.clone(), LVal::Scalar(InnerScalar::from_repr(tagged, ctx)))
             }
-            RtVal::Scalar(_) => return Err(IrError::Type("mapWithLiftedUDF over a scalar".into())),
+            DVal::Scalar(_) => return Err(IrError::Type("mapWithLiftedUDF over a scalar".into())),
         };
         let mut lenv = LEnv::new();
         lenv.insert(udf.param.clone(), param_val);
@@ -680,13 +1018,13 @@ impl Lowering {
         match self.eval_lifted(&udf.body, &lenv, &ctx, inputs)? {
             // A scalar-valued UDF: the map's result is the bag of per-tag
             // results.
-            LVal::Scalar(s) => Ok(RtVal::Bag(s.repr().map(|(_, v)| v.clone()))),
+            LVal::Scalar(s) => Ok(DVal::Bag(DBag::Rows(s.repr().map(|(_, v)| v.clone())))),
             LVal::Pair(a, b) => {
                 let s = self.pair_to_scalar(LVal::Pair(a, b), &ctx)?;
-                Ok(RtVal::Bag(s.repr().map(|(_, v)| v.clone())))
+                Ok(DVal::Bag(DBag::Rows(s.repr().map(|(_, v)| v.clone()))))
             }
             // A bag-valued UDF: the result is nested again.
-            LVal::Bag(b) => Ok(RtVal::Nested(NestedBag::from_parts(ctx.tags_scalar(), b))),
+            LVal::Bag(b) => Ok(DVal::Nested(NestedBag::from_parts(ctx.tags_scalar(), b.rows()))),
             LVal::Driver(_) => Err(IrError::Type("lifted UDF returned a driver value".into())),
         }
     }
@@ -698,7 +1036,7 @@ impl Lowering {
     ) -> IrResult<InnerScalar<Value, Value>> {
         match v {
             LVal::Scalar(s) => Ok(s),
-            LVal::Driver(RtVal::Scalar(x)) => Ok(ctx.constant(x)),
+            LVal::Driver(DVal::Scalar(x)) => Ok(ctx.constant(x)),
             LVal::Pair(a, b) => {
                 let a = self.pair_to_scalar(*a, ctx)?;
                 let b = self.pair_to_scalar(*b, ctx)?;
@@ -707,6 +1045,49 @@ impl Lowering {
             LVal::Bag(_) => Err(IrError::Type("an inner bag where a scalar is needed".into())),
             LVal::Driver(_) => Err(IrError::Type("a driver bag where a scalar is needed".into())),
         }
+    }
+
+    /// A lifted `map` emitting `O` records.
+    fn lifted_map<O: Emit>(
+        &self,
+        inp: LVal,
+        udf: &Lambda,
+        pure: PureEnv,
+        lifted: &[(String, InnerScalar<Value, Value>)],
+    ) -> IrResult<LVal> {
+        Ok(match inp {
+            LVal::Bag(b) if lifted.is_empty() => {
+                let f = self.compile_record(udf, b.is_keyed(), pure);
+                LVal::Bag(O::inner(
+                    b.map_records(move |r| O::eval(&f, r, None).expect("lifted map UDF")),
+                ))
+            }
+            // mapWithClosure (Sec. 5.1): the UDF reads lifted scalars -> tag
+            // join. The compiled UDF binds the joined closure tuple's
+            // components as parameters 1.. .
+            LVal::Bag(b) => {
+                let combined = combine_scalars(lifted);
+                let f = self.compile_combined(udf, lifted, b.is_keyed(), pure);
+                LVal::Bag(O::inner(b.map_records_with_scalar(&combined, move |r, c| {
+                    O::eval(&f, r, Some(c)).expect("mapWithClosure UDF")
+                })))
+            }
+            // Half-lifted mapWithClosure (Sec. 5.2/8.3): mapping a *driver*
+            // bag with lifted closures is a cross product.
+            LVal::Driver(DVal::Bag(db)) if !lifted.is_empty() => {
+                let combined = combine_scalars(lifted);
+                let f = self.compile_combined(udf, lifted, db.is_keyed(), pure);
+                LVal::Bag(O::inner(db.cross_records(&combined, move |r, c| {
+                    O::eval(&f, r, Some(c)).expect("half-lifted UDF")
+                })?))
+            }
+            // No lifted state involved: stays a driver map.
+            LVal::Driver(DVal::Bag(db)) => {
+                let f = self.compile_record(udf, db.is_keyed(), pure);
+                LVal::Driver(DVal::Bag(map_driver::<O>(&db, f, "driver map UDF")))
+            }
+            _ => return Err(IrError::Type("map over a non-bag".into())),
+        })
     }
 
     fn eval_lifted(
@@ -724,16 +1105,16 @@ impl Lowering {
             Expr::Var(n) => {
                 let v = lenv.get(n).cloned().ok_or_else(|| IrError::Unbound(n.clone()))?;
                 match v {
-                    LVal::Driver(RtVal::Scalar(x)) => LVal::Scalar(ctx.constant(x)),
+                    LVal::Driver(DVal::Scalar(x)) => LVal::Scalar(ctx.constant(x)),
                     other => other,
                 }
             }
             // A source read inside a lifted UDF is a driver-side bag
             // closure (the hyperparameter-optimization shape of Sec. 2.3):
             // consumed via half-lifted operations.
-            Expr::Source(n) => LVal::Driver(RtVal::Bag(
+            Expr::Source(n) => LVal::Driver(DVal::Bag(DBag::Rows(
                 inputs.get(n).cloned().ok_or_else(|| IrError::Unbound(format!("source {n}")))?,
-            )),
+            ))),
             Expr::Tuple(items) => {
                 let parts: Vec<InnerScalar<Value, Value>> = items
                     .iter()
@@ -818,55 +1199,25 @@ impl Lowering {
             Expr::Map(input, udf) => {
                 let inp = self.eval_lifted(input, lenv, ctx, inputs)?;
                 let (pure, lifted) = self.split_captures(&udf.body, &[&udf.param], lenv)?;
-                match inp {
-                    LVal::Bag(b) if lifted.is_empty() => {
-                        let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                        LVal::Bag(b.map(move |v| f.eval1(v).expect("lifted map UDF")))
-                    }
-                    // mapWithClosure (Sec. 5.1): the UDF reads lifted
-                    // scalars -> tag join. The compiled UDF binds the joined
-                    // closure tuple's components as parameters 1.. .
-                    LVal::Bag(b) => {
-                        let combined = combine_scalars(&lifted);
-                        let f = self.compile_combined(udf, &lifted, pure);
-                        LVal::Bag(b.map_with_scalar(&combined, move |v, c| {
-                            f.eval_with_combined(v, c).expect("mapWithClosure UDF")
-                        }))
-                    }
-                    // Half-lifted mapWithClosure (Sec. 5.2/8.3): mapping a
-                    // *driver* bag with lifted closures is a cross product.
-                    LVal::Driver(RtVal::Bag(db)) if !lifted.is_empty() => {
-                        let combined = combine_scalars(&lifted);
-                        let f = self.compile_combined(udf, &lifted, pure);
-                        LVal::Bag(combined.cross_with_bag(&db, move |_t, c, p| {
-                            Some(f.eval_with_combined(p, c).expect("half-lifted UDF"))
-                        })?)
-                    }
-                    LVal::Driver(RtVal::Bag(db)) => {
-                        // No lifted state involved: stays a driver map.
-                        let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                        LVal::Driver(RtVal::Bag(
-                            db.map(move |v| f.eval1(v).expect("driver map UDF")),
-                        ))
-                    }
-                    _ => return Err(IrError::Type("map over a non-bag".into())),
+                if emits_pairs(&udf.body) {
+                    self.lifted_map::<(Value, Value)>(inp, udf, pure, &lifted)?
+                } else {
+                    self.lifted_map::<Value>(inp, udf, pure, &lifted)?
                 }
             }
             Expr::Filter(input, udf) => {
                 let b = self.lifted_bag(input, lenv, ctx, inputs)?;
                 let (pure, lifted) = self.split_captures(&udf.body, &[&udf.param], lenv)?;
                 if lifted.is_empty() {
-                    let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                    LVal::Bag(
-                        b.filter(move |v| {
-                            f.eval1(v).and_then(|v| v.as_bool()).expect("filter UDF")
-                        }),
-                    )
+                    let f = self.compile_record(udf, b.is_keyed(), pure);
+                    LVal::Bag(b.filter_records(move |r| {
+                        f.eval_record(r, None).and_then(|v| v.as_bool()).expect("filter UDF")
+                    }))
                 } else {
                     let combined = combine_scalars(&lifted);
-                    let f = self.compile_combined(udf, &lifted, pure);
-                    LVal::Bag(b.filter_with_scalar(&combined, move |v, c| {
-                        f.eval_with_combined(v, c).and_then(|v| v.as_bool()).expect("filter UDF")
+                    let f = self.compile_combined(udf, &lifted, b.is_keyed(), pure);
+                    LVal::Bag(b.filter_records_with_scalar(&combined, move |r, c| {
+                        f.eval_record(r, Some(c)).and_then(|v| v.as_bool()).expect("filter UDF")
                     }))
                 }
             }
@@ -878,39 +1229,31 @@ impl Lowering {
                         "flatMap with lifted closures is not supported in the IR dialect".into(),
                     ));
                 }
-                let f = self.compile_udf(&udf.body, &[&udf.param], pure);
-                LVal::Bag(b.flat_map(move |v| f.eval1(v).expect("flatMap UDF").splat_tuple()))
+                let f = self.compile_record(udf, b.is_keyed(), pure);
+                LVal::Bag(LBag::Rows(b.flat_map_records(move |r| {
+                    f.eval_record(r, None).expect("flatMap UDF").splat_tuple()
+                })))
             }
             Expr::ReduceByKey(input, l2) => {
                 // Lifted reduceByKey: composite (tag, key) re-keying
                 // (Sec. 4.4) via the typed layer.
                 let b = self.lifted_bag(input, lenv, ctx, inputs)?;
                 let f = self.compile_udf2(l2);
-                let pairs =
-                    b.map(|v| (v.proj(0).expect("(k,v) record"), v.proj(1).expect("(k,v) record")));
-                let reduced = pairs.reduce_by_key(move |a, b| {
+                LVal::Bag(LBag::Keyed(b.pairs().reduce_by_key(move |a, b| {
                     f.eval2(a, b).expect("scalar aggregation UDF (validated at parse)")
-                });
-                LVal::Bag(reduced.map(|(k, v)| Value::tuple(vec![k.clone(), v.clone()])))
+                })))
             }
             Expr::Join(a, b) => {
                 let left = self.eval_lifted(a, lenv, ctx, inputs)?;
                 let right = self.eval_lifted(b, lenv, ctx, inputs)?;
                 match (left, right) {
                     (LVal::Bag(l), LVal::Bag(r)) => {
-                        let lp = l.map(|v| (v.proj(0).expect("pair"), v.proj(1).expect("pair")));
-                        let rp = r.map(|v| (v.proj(0).expect("pair"), v.proj(1).expect("pair")));
-                        LVal::Bag(lp.join(&rp).map(|(k, (v, w))| {
-                            Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
-                        }))
+                        LVal::Bag(LBag::Keyed(l.pairs().join(&r.pairs()).map(join_pair)))
                     }
                     // Half-lifted join (Sec. 5.2): InnerBag x driver bag.
-                    (LVal::Bag(l), LVal::Driver(RtVal::Bag(r))) => {
-                        let lp = l.map(|v| (v.proj(0).expect("pair"), v.proj(1).expect("pair")));
-                        LVal::Bag(lp.half_lifted_join(&pairize(&r)).map(|(k, (v, w))| {
-                            Value::tuple(vec![k.clone(), Value::tuple(vec![v.clone(), w.clone()])])
-                        }))
-                    }
+                    (LVal::Bag(l), LVal::Driver(DVal::Bag(r))) => LVal::Bag(LBag::Keyed(
+                        l.pairs().half_lifted_join(&r.pairs()).map(join_pair),
+                    )),
                     _ => return Err(IrError::Unsupported(
                         "lifted join requires inner bags (left) and inner or driver bags (right)"
                             .into(),
@@ -924,33 +1267,40 @@ impl Lowering {
             }
             Expr::Distinct(x) => LVal::Bag(self.lifted_bag(x, lenv, ctx, inputs)?.distinct()),
             Expr::Count(x) => match self.eval_lifted(x, lenv, ctx, inputs)? {
-                LVal::Bag(b) => LVal::Scalar(InnerScalar::from_repr(
-                    b.count().repr().map(|(t, n)| (t.clone(), Value::Long(*n as i64))),
-                    b.ctx().clone(),
-                )),
-                LVal::Driver(RtVal::Bag(db)) => {
+                LVal::Bag(b) => {
+                    let n = b.count();
+                    LVal::Scalar(InnerScalar::from_repr(
+                        n.repr().map(|(t, n)| (t.clone(), Value::Long(*n as i64))),
+                        n.ctx().clone(),
+                    ))
+                }
+                LVal::Driver(DVal::Bag(db)) => {
                     LVal::Scalar(ctx.constant(Value::Long(db.count()? as i64)))
                 }
                 _ => return Err(IrError::Type("count of a non-bag".into())),
             },
             Expr::Fold(x, zero, l2) => {
                 let b = self.lifted_bag(x, lenv, ctx, inputs)?;
-                // The zero is evaluated once (not per record): the plain
-                // capture walk + interpreter is the right tool here.
-                let zero_names = crate::analyze::captures::capture_names(zero, &[]);
+                // The zero is evaluated once (not per record), so its
+                // capture set is not memoized.
+                let zero = Arc::new(zero.as_ref().clone());
+                let zero_names = crate::analyze::captures::capture_names(&zero, &[]);
                 let (pure, lifted) = resolve_lifted_captures(&zero_names, lenv)?;
                 if !lifted.is_empty() {
                     return Err(IrError::Unsupported("fold zero must not be lifted".into()));
                 }
-                let z = eval_pure(zero, &pure)?;
-                let f = self.compile_udf2(l2);
-                let g = Arc::clone(&f);
-                let folded = b.fold(
+                let z = self.compile_udf(&zero, &[], None, pure).eval0()?;
+                // Partial results per tag combine with the UDF itself, so
+                // its second parameter is pair-bound only for the records.
+                let f = self.compile_fold_step(l2, b.is_keyed());
+                let g = if b.is_keyed() { self.compile_udf2(l2) } else { Arc::clone(&f) };
+                LVal::Scalar(b.fold_records(
                     z,
-                    move |a, v| f.eval2(a, v).expect("scalar aggregation UDF (validated at parse)"),
+                    move |a, r| {
+                        f.eval_fold(a, r).expect("scalar aggregation UDF (validated at parse)")
+                    },
                     move |a, b| g.eval2(a, b).expect("scalar aggregation UDF (validated at parse)"),
-                );
-                LVal::Scalar(folded)
+                ))
             }
             // Lifted materialization hint: cache the tagged representation
             // bag, so every consumer (and every loop iteration whose
@@ -959,8 +1309,8 @@ impl Lowering {
                 LVal::Scalar(s) => {
                     LVal::Scalar(InnerScalar::from_repr(s.repr().cache(), s.ctx().clone()))
                 }
-                LVal::Bag(b) => LVal::Bag(InnerBag::from_repr(b.repr().cache(), b.ctx().clone())),
-                LVal::Driver(RtVal::Bag(db)) => LVal::Driver(RtVal::Bag(db.cache())),
+                LVal::Bag(b) => LVal::Bag(b.cache()),
+                LVal::Driver(DVal::Bag(db)) => LVal::Driver(DVal::Bag(db.cache())),
                 other => other,
             },
             Expr::GroupByKey(_)
@@ -992,67 +1342,38 @@ impl Lowering {
         let mut items = Vec::with_capacity(init.len());
         for (n, x) in init {
             let v = self.eval_lifted(x, &lenv2, ctx, inputs)?;
-            let item = match v {
-                LVal::Scalar(s) => LStateItem::S(s),
-                LVal::Bag(b) => LStateItem::B(b),
-                LVal::Driver(RtVal::Scalar(x)) => LStateItem::S(ctx.constant(x)),
-                _ => {
-                    return Err(IrError::Unsupported(
-                        "lifted loop variables must be scalars or inner bags".into(),
-                    ))
-                }
-            };
-            lenv2.insert(
-                n.clone(),
-                match &item {
-                    LStateItem::S(s) => LVal::Scalar(s.clone()),
-                    LStateItem::B(b) => LVal::Bag(b.clone()),
-                },
-            );
+            let item = LStateItem::of(v, ctx).ok_or_else(|| {
+                IrError::Unsupported("lifted loop variables must be scalars or inner bags".into())
+            })?;
+            lenv2.insert(n.clone(), item.to_lval());
             items.push(item);
         }
         let names: Vec<String> = init.iter().map(|(n, _)| n.clone()).collect();
+        let bind = |state: &[LStateItem]| {
+            let mut env = lenv.clone();
+            for (n, item) in names.iter().zip(state) {
+                env.insert(n.clone(), item.to_lval());
+            }
+            env
+        };
         let state0 = LState(items);
-        let this = self;
         let final_state = lifted_while(
             &state0,
             |state: &LState| {
-                let mut env = lenv.clone();
-                for (n, item) in names.iter().zip(&state.0) {
-                    env.insert(
-                        n.clone(),
-                        match item {
-                            LStateItem::S(s) => LVal::Scalar(s.clone()),
-                            LStateItem::B(b) => LVal::Bag(b.clone()),
-                        },
-                    );
-                }
+                let env = bind(&state.0);
                 let mut next = Vec::with_capacity(step.len());
                 for x in step {
-                    let v = this.eval_lifted(x, &env, ctx, inputs).map_err(to_engine_err)?;
-                    next.push(match v {
-                        LVal::Scalar(s) => LStateItem::S(s),
-                        LVal::Bag(b) => LStateItem::B(b),
-                        _ => {
-                            return Err(to_engine_err(IrError::Unsupported(
-                                "lifted loop step must produce scalars or inner bags".into(),
-                            )))
-                        }
-                    });
+                    let v = self.eval_lifted(x, &env, ctx, inputs).map_err(to_engine_err)?;
+                    next.push(LStateItem::of(v, ctx).ok_or_else(|| {
+                        to_engine_err(IrError::Unsupported(
+                            "lifted loop step must produce scalars or inner bags".into(),
+                        ))
+                    })?);
                 }
                 // The condition is evaluated on the *new* variable values
                 // (do-while semantics, Listing 4).
-                let mut env2 = lenv.clone();
-                for (n, item) in names.iter().zip(&next) {
-                    env2.insert(
-                        n.clone(),
-                        match item {
-                            LStateItem::S(s) => LVal::Scalar(s.clone()),
-                            LStateItem::B(b) => LVal::Bag(b.clone()),
-                        },
-                    );
-                }
-                let c = this.lifted_scalar(cond, &env2, ctx, inputs).map_err(to_engine_err)?;
+                let c =
+                    self.lifted_scalar(cond, &bind(&next), ctx, inputs).map_err(to_engine_err)?;
                 let cond_bool = InnerScalar::from_repr(
                     c.repr().map(|(t, v)| (t.clone(), v.as_bool().expect("loop condition"))),
                     c.ctx().clone(),
@@ -1061,17 +1382,7 @@ impl Lowering {
             },
             Some(10_000),
         )?;
-        let mut env = lenv.clone();
-        for (n, item) in names.iter().zip(&final_state.0) {
-            env.insert(
-                n.clone(),
-                match item {
-                    LStateItem::S(s) => LVal::Scalar(s.clone()),
-                    LStateItem::B(b) => LVal::Bag(b.clone()),
-                },
-            );
-        }
-        self.eval_lifted(result, &env, ctx, inputs)
+        self.eval_lifted(result, &bind(&final_state.0), ctx, inputs)
     }
 
     fn lifted_scalar(
@@ -1091,7 +1402,7 @@ impl Lowering {
         lenv: &LEnv,
         ctx: &LiftingContext<Value>,
         inputs: &HashMap<String, Bag<Value>>,
-    ) -> IrResult<InnerBag<Value, Value>> {
+    ) -> IrResult<LBag> {
         match self.eval_lifted(e, lenv, ctx, inputs)? {
             LVal::Bag(b) => Ok(b),
             _ => Err(IrError::Type("expected an inner bag".into())),

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use matryoshka_core::MatryoshkaConfig;
 use matryoshka_engine::{Bag, Engine};
 use matryoshka_ir::ast::{BinOp, Expr, UnOp};
+use matryoshka_ir::compile::Record;
 use matryoshka_ir::{eval_pure, parsing_phase, CompiledUdf, Dialect, Lowering, RtVal, Value};
 
 /// splitmix64 (same generator the round-trip property tests use).
@@ -174,6 +175,7 @@ fn argument_pairs() -> Vec<(Value, Value)> {
         (Value::Long(5), Value::Long(-3)),
         (Value::Double(2.5), Value::Long(1000)),
         (Value::tuple(vec![Value::Long(9), Value::Bool(true)]), Value::str("s")),
+        (Value::tuple(vec![Value::Double(1.5), Value::Long(-2)]), Value::Long(4)),
         (Value::Double(-0.0), Value::Double(f64::NAN)),
         (Value::Long(i64::MIN), Value::Long(7)),
         (Value::str("x"), Value::Double(-0.0)),
@@ -188,6 +190,10 @@ fn argument_pairs() -> Vec<(Value, Value)> {
 /// - `eval1(p)`, with `q` a capture (inlined, so it also folds);
 /// - `eval_with_combined(p, (q))`: a 1-component closure tuple;
 /// - `eval_with_combined(p, (q, ca, cb))`: a 3-component closure tuple.
+///
+/// When `p` is a pair, `p` is also pair-bound ([`Record::Pair`]), as a
+/// record of a keyed bag is: alone, with the closure tuple, as a fold's
+/// record parameter, and with the value returned as two components.
 fn differential_case(seed: u64, depth: u32) -> bool {
     let mut g = Gen {
         rng: Rng(seed.wrapping_mul(0x9e3779b9) ^ 0x636f_6d70_696c_6564), // "compiled"
@@ -202,7 +208,7 @@ fn differential_case(seed: u64, depth: u32) -> bool {
     ]);
     let compiled2 = CompiledUdf::new(&body, &["p", "q"], captures.clone(), false);
     let only_cc = HashMap::from([("cc".to_string(), captures["cc"].clone())]);
-    let combined3 = CompiledUdf::new(&body, &["p", "q", "ca", "cb"], only_cc, false);
+    let combined3 = CompiledUdf::new(&body, &["p", "q", "ca", "cb"], only_cc.clone(), false);
     assert!(compiled2.is_compiled() && combined3.is_compiled());
 
     for (p, q) in &argument_pairs() {
@@ -215,7 +221,7 @@ fn differential_case(seed: u64, depth: u32) -> bool {
         let want = capture(|| eval_pure(&body, &env));
         let mut with_q = captures.clone();
         with_q.insert("q".to_string(), q.clone());
-        let compiled1 = CompiledUdf::new(&body, &["p"], with_q, false);
+        let compiled1 = CompiledUdf::new(&body, &["p"], with_q.clone(), false);
         let closure3 =
             Value::tuple(vec![q.clone(), captures["ca"].clone(), captures["cb"].clone()]);
         let runs: [(&str, Outcome); 4] = [
@@ -232,6 +238,31 @@ fn differential_case(seed: u64, depth: u32) -> bool {
                 got, want,
                 "seed {seed}: compiled ({entry}) and interpreted disagree on {body:?} at p={p}, q={q}"
             );
+        }
+        let Value::Tuple(kv) = p else { continue };
+        let rec = Record::Pair(&kv[0], &kv[1]);
+        let pair1 = CompiledUdf::with_pair_param(&body, &["p"], 0, with_q.clone(), false);
+        let pair3 =
+            CompiledUdf::with_pair_param(&body, &["p", "q", "ca", "cb"], 0, only_cc.clone(), false);
+        let fold = CompiledUdf::with_pair_param(&body, &["q", "p"], 1, captures.clone(), false);
+        let runs: [(&str, Outcome); 3] = [
+            ("pair", capture(|| pair1.eval_record(rec, None))),
+            ("pair/combined", capture(|| pair3.eval_record(rec, Some(&closure3)))),
+            ("pair/fold", capture(|| fold.eval_fold(q, rec))),
+        ];
+        for (entry, got) in runs {
+            assert_eq!(
+                got, want,
+                "seed {seed}: compiled ({entry}) and interpreted disagree on {body:?} at p={p}, q={q}"
+            );
+        }
+        // A pair-valued body returns its two components; any other value is
+        // not a pair.
+        let kv = capture(|| pair1.eval_record_kv(rec, None).map(|(a, b)| Value::tuple(vec![a, b])));
+        match &want {
+            Ok(Ok(Value::Tuple(items))) if items.len() != 2 => assert!(matches!(kv, Ok(Err(_)))),
+            Ok(Ok(v)) if !matches!(v, Value::Tuple(_)) => assert!(matches!(kv, Ok(Err(_)))),
+            _ => assert_eq!(kv, want, "seed {seed}: eval_record_kv on {body:?} at p={p}, q={q}"),
         }
     }
     binds_locals(&body)

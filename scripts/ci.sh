@@ -143,7 +143,7 @@ wait "$SERVE_PID" || {
 }
 rm -f "$SERVE_LOG"
 
-echo "== matbench self-tests + 2 s service_mix and group_fixpoint runs"
+echo "== matbench self-tests + 2 s service_mix, group_fixpoint and bounce_rate runs"
 # The benchmark's own tests, then a short closed loop over the wire: every
 # reply must match its reference, so a service change that breaks a wire
 # reply fails here and not only in the benchmark.
@@ -171,6 +171,20 @@ FIX_OUT="$(cargo run -q --release --manifest-path matbench/Cargo.toml -- \
 tail -n 1 <<<"$FIX_OUT" | grep -q '"correct": true' || {
   echo "group_fixpoint did not report \"correct\": true:" >&2
   echo "$FIX_OUT" >&2
+  exit 1
+}
+# The same for the keyed-record path: a short bounce_rate run checks every
+# result of Listing 1, whose keyed bags stay native (k, v) pairs through the
+# lowering, so a change that alters a keyed result fails here too.
+BOUNCE_OUT="$(cargo run -q --release --manifest-path matbench/Cargo.toml -- \
+  --workload bounce_rate --seed 1 --seconds 2 --trace 0)" || {
+  echo "bounce_rate run failed:" >&2
+  echo "$BOUNCE_OUT" >&2
+  exit 1
+}
+tail -n 1 <<<"$BOUNCE_OUT" | grep -q '"correct": true' || {
+  echo "bounce_rate did not report \"correct\": true:" >&2
+  echo "$BOUNCE_OUT" >&2
   exit 1
 }
 
